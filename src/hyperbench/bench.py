@@ -102,6 +102,18 @@ def _default_pool() -> SourcePool:
     return _DEMO_POOL
 
 
+def _subsample_with(pool: SourcePool, spec: GenSpec, search):
+    """A real subsample on which ``search`` finds a certificate, and that
+    certificate (the one found while accepting the subsample)."""
+    found = []
+
+    def require(g: Hypergraph) -> bool:
+        found.append(search(g))
+        return found[-1] is not None
+
+    return subsample_real(pool, spec, require=require), found[-1]
+
+
 def make_meta(
     task: str,
     index: int,
@@ -127,24 +139,21 @@ def make_meta(
         answer = {"kind": "yes_no", "value": pair.isomorphic}
     elif task == "3-CL":
         if source == "real":
-            h = subsample_real(pool, spec, require=lambda g: find_3cl(g) is not None)
-            coloring = find_3cl(h)
+            h, coloring = _subsample_with(pool, spec, find_3cl)
         else:
             inst = gen_3cl_instance(spec)
             h, coloring = inst.hypergraph, inst.coloring
         answer = {"kind": "coloring", "value": format_coloring(coloring)}
     elif task == "SHC":
         if source == "real":
-            h = subsample_real(pool, spec, require=lambda g: find_shc(g) is not None)
-            cycle = find_shc(h)
+            h, cycle = _subsample_with(pool, spec, find_shc)
         else:
             inst = gen_shc_instance(spec)
             h, cycle = inst.hypergraph, inst.cycle
         answer = {"kind": "cycle", "value": format_cycle(cycle)}
     elif task == "HHM":
         if source == "real":
-            h = subsample_real(pool, spec, require=lambda g: find_hhm_any(g) is not None)
-            steps, s, t = find_hhm_any(h)
+            h, (steps, s, t) = _subsample_with(pool, spec, find_hhm_any)
         else:
             inst = gen_hhm_instance(spec)
             h, s, t, steps = inst.hypergraph, inst.start, inst.end, inst.path

@@ -244,25 +244,32 @@ def _read_manifest(path: str) -> list[dict]:
     rows = []
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    rows.append(json.loads(line))
+                    try:
+                        rows.append(json.loads(line))
+                    except ValueError as exc:
+                        raise UsageError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
     except FileNotFoundError:
         raise UsageError(f"manifest not found: {path}")
     return rows
 
 
-def _cmd_grade(args) -> int:
+def _grade_files(args):
+    """The manifest rows and the grade records of the responses file."""
     manifest = _read_manifest(args.manifest)
     try:
         responses = read_responses(args.responses)
+        return manifest, grade_responses(manifest, responses, _grade_options(args))
     except FileNotFoundError:
         raise UsageError(f"responses not found: {args.responses}")
-    try:
-        records = grade_responses(manifest, responses, _grade_options(args))
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _cmd_grade(args) -> int:
+    manifest, records = _grade_files(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_grades(records, outdir / "grades.jsonl")
@@ -284,13 +291,8 @@ def _cmd_grade(args) -> int:
 
 
 def _cmd_prm(args) -> int:
-    manifest = _read_manifest(args.manifest)
+    manifest, records = _grade_files(args)
     try:
-        responses = read_responses(args.responses)
-    except FileNotFoundError:
-        raise UsageError(f"responses not found: {args.responses}")
-    try:
-        records = grade_responses(manifest, responses, _grade_options(args))
         pairs = build_prm(records, manifest)
     except ValueError as exc:
         raise UsageError(str(exc))

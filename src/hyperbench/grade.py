@@ -234,22 +234,47 @@ def index_manifest(manifest_rows) -> dict[str, dict]:
     return {row["sample_id"]: row for row in manifest_rows}
 
 
+def _response_texts(responses) -> list[tuple[str, str]]:
+    """(sample_id, text) of each response, the text read from ``response`` or
+    else ``raw_text``; ValueError on a response without a sample id or text,
+    or on a sample id answered twice."""
+    out = []
+    seen: set[str] = set()
+    for n, resp in enumerate(responses, 1):
+        sid = resp.get("sample_id") if isinstance(resp, dict) else None
+        if not isinstance(sid, str):
+            raise ValueError(f"response {n} has no string sample_id")
+        text = resp["response"] if "response" in resp else resp.get("raw_text")
+        if not isinstance(text, str):
+            raise ValueError(f"response {n} ({sid}) has neither a 'response' nor a 'raw_text' string")
+        if sid in seen:
+            raise ValueError(f"sample id {sid} has more than one response (response {n})")
+        seen.add(sid)
+        out.append((sid, text))
+    return out
+
+
 def grade_responses(
     manifest_rows,
     responses,
     options: GradeOptions = DEFAULT_OPTIONS,
 ) -> list[GradeRecord]:
-    """Grade ``{"sample_id","raw_text"}`` responses against a manifest."""
+    """Grade ``{"sample_id", "response"}`` responses against a manifest.
+
+    The text may be under ``raw_text`` instead of ``response``.  A response
+    without either, a repeated sample id or an unknown one is a ValueError.
+    """
     by_id = index_manifest(manifest_rows)
-    unknown = [r["sample_id"] for r in responses if r["sample_id"] not in by_id]
+    texts = _response_texts(responses)
+    unknown = [sid for sid, _ in texts if sid not in by_id]
     if unknown:
         raise ValueError(f"responses reference unknown sample ids: {unknown[:10]}")
     records = []
-    for resp in responses:
-        row = by_id[resp["sample_id"]]
-        parsed = parse_answer(row["task"], resp["raw_text"], options)
+    for sid, text in texts:
+        row = by_id[sid]
+        parsed = parse_answer(row["task"], text, options)
         correct, flags = judge(row, parsed)
-        records.append(GradeRecord(resp["sample_id"], parsed, correct, flags))
+        records.append(GradeRecord(sid, parsed, correct, flags))
     return records
 
 
@@ -454,12 +479,16 @@ def corrupted_answer_text(row: dict) -> str:
 
 
 def read_responses(path) -> list[dict]:
+    """The records of a JSONL file; ValueError naming the first malformed line."""
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
+                try:
+                    rows.append(json.loads(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
     return rows
 
 

@@ -63,7 +63,9 @@ def verify_hhm(h: Hypergraph, seq, s: int, t: int) -> bool:
     with step i contained in the i-th hyperedge of ``seq``.
 
     The sequence must have exactly n-1 steps; repeating a hyperedge across
-    steps is allowed.
+    steps is allowed.  Failed (vertex, visited set) states are memoized (the
+    step index is the set's size), so the search visits at most n * 2^n
+    states whatever the sequence.
     """
     h.check_vertex(s)
     h.check_vertex(t)
@@ -74,24 +76,24 @@ def verify_hhm(h: Hypergraph, seq, s: int, t: int) -> bool:
         h.check_edge(j)
     if len(ids) != h.n - 1:
         return False
-    used = [False] * h.n
-    used[s] = True
+    full = (1 << h.n) - 1
+    failed: set[tuple[int, int]] = set()  # (vertex, visited mask) states that cannot finish
 
-    def step(i: int, cur: int) -> bool:
-        if i == len(ids):
+    def step(cur: int, mask: int) -> bool:
+        if mask == full:
             return cur == t
-        members = h.edges[ids[i]]
-        if cur not in members:
+        if (cur, mask) in failed:
             return False
-        for nxt in members:
-            if not used[nxt]:
-                used[nxt] = True
-                if step(i + 1, nxt):
+        members = h.edges[ids[mask.bit_count() - 1]]
+        if cur in members:
+            for nxt in members:
+                bit = 1 << nxt
+                if not mask & bit and step(nxt, mask | bit):
                     return True
-                used[nxt] = False
+        failed.add((cur, mask))
         return False
 
-    return step(0, s)
+    return step(s, 1 << s)
 
 
 def find_3cl(h: Hypergraph):
@@ -182,37 +184,44 @@ def _pair_adjacency(h: Hypergraph):
 
 
 def find_hhm(h: Hypergraph, s: int, t: int):
-    """A verifying step-edge sequence for a Hamiltonian path s..t, or None."""
+    """A verifying step-edge sequence for a Hamiltonian path s..t, or None.
+
+    Depth-first over clique-expansion neighbors in ascending order, so the
+    path returned is the first in that order.  Whether a (vertex, visited set)
+    state can still reach t depends on nothing else, so failed states are
+    memoized and never searched twice: at most n * 2^n states, not n!.
+    """
     h.check_vertex(s)
     h.check_vertex(t)
     if s == t:
         raise ValueError("path endpoints must differ")
     n = h.n
     nbr, pair_edge = _pair_adjacency(h)
-    visited = [False] * n
-    visited[s] = True
+    moves = [
+        [(nxt, 1 << nxt, pair_edge[min(cur, nxt), max(cur, nxt)]) for nxt in sorted(nbr[cur])]
+        for cur in range(n)
+    ]
+    full = (1 << n) - 1
+    last = full & ~(1 << t)  # t may only be entered as the final vertex
+    failed: set[tuple[int, int]] = set()  # (vertex, visited mask) states that cannot reach t
     steps: list[int] = []
 
-    def dfs(cur: int, count: int) -> bool:
-        if count == n:
+    def dfs(cur: int, mask: int) -> bool:
+        if mask == full:
             return cur == t
-        # dead-end prune: every unvisited vertex still needs a live neighbor
-        for w in range(n):
-            if not visited[w] and w != cur:
-                if not any(not visited[x] or x == cur for x in nbr[w]):
-                    return False
-        for nxt in sorted(nbr[cur]):
-            if visited[nxt] or (nxt == t and count != n - 1):
+        if (cur, mask) in failed:
+            return False
+        for nxt, bit, edge in moves[cur]:
+            if mask & bit or (nxt == t and mask != last):
                 continue
-            visited[nxt] = True
-            steps.append(pair_edge[(min(cur, nxt), max(cur, nxt))])
-            if dfs(nxt, count + 1):
+            steps.append(edge)
+            if dfs(nxt, mask | bit):
                 return True
             steps.pop()
-            visited[nxt] = False
+        failed.add((cur, mask))
         return False
 
-    if dfs(s, 1):
+    if dfs(s, 1 << s):
         return tuple(steps)
     return None
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from hyperbench import canonical_answer_text, load_manifest, save_json
+from hyperbench import canonical_answer_text, load_manifest, make_meta, save_json
+from hyperbench.bench import sample_rows
 from hyperbench.cli import main
 
 
@@ -134,6 +135,71 @@ def test_out_defaults_to_env(tmp_path, monkeypatch, capsys):
 def test_grade_missing_manifest(tmp_path):
     assert main(["grade", "--manifest", str(tmp_path / "m.jsonl"),
                  "--responses", str(tmp_path / "r.jsonl"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.fixture
+def vc_manifest(tmp_path):
+    """A one-meta VC manifest and its 35 rows."""
+    rows = sample_rows(make_meta("VC", 0, "small", "synthetic", 3))
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows), encoding="utf-8")
+    return path, rows
+
+
+def _grade(tmp_path, manifest, lines, cmd="grade"):
+    tmp_path.mkdir(exist_ok=True)
+    responses = tmp_path / "resp.jsonl"
+    responses.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / cmd
+    return main([cmd, "--manifest", str(manifest), "--responses", str(responses), "--out", str(out)]), out
+
+
+def test_grade_accepts_response_and_raw_text_keys(tmp_path, vc_manifest, capsys):
+    manifest, rows = vc_manifest
+    outputs = []
+    for key in ("raw_text", "response"):
+        lines = [json.dumps({"sample_id": r["sample_id"], key: canonical_answer_text(r)}) for r in rows]
+        code, out = _grade(tmp_path / key, manifest, lines)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["correct"] == 35
+        outputs.append(((out / "grades.jsonl").read_bytes(), (out / "accuracy.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("no_text_key", "neither a 'response' nor a 'raw_text' string"),
+        ("repeated_id", "more than one response"),
+        ("malformed_line", "resp.jsonl:2: malformed JSON line"),
+    ],
+)
+def test_grade_bad_responses_are_usage_errors(tmp_path, vc_manifest, capsys, cmd, case, message):
+    manifest, rows = vc_manifest
+    first = json.dumps({"sample_id": rows[0]["sample_id"], "response": "Ans: 3"})
+    second = {
+        "no_text_key": json.dumps({"sample_id": rows[1]["sample_id"], "answer": "Ans: 3"}),
+        "repeated_id": first,
+        "malformed_line": '{"sample_id": "VC-0000__N-Set__Enc-Hy", "response": ',
+    }[case]
+    code, out = _grade(tmp_path, manifest, [first, second], cmd)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys):
+    manifest, rows = vc_manifest
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write('{"sample_id": \n')
+    line = json.dumps({"sample_id": rows[0]["sample_id"], "response": "Ans: 3"})
+    code, out = _grade(tmp_path, manifest, [line])
+    assert code == 2
+    assert f"manifest.jsonl:{len(rows) + 1}: malformed JSON line" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_selfcheck(capsys):

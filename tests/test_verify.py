@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbench import (
     Hypergraph,
@@ -12,7 +16,10 @@ from hyperbench import (
     verify_hhm,
     verify_shc,
 )
-from hyperbench.verify import find_hhm_any
+from hyperbench.bench import make_meta
+from hyperbench.generate import SCALE_CLASSES, GenSpec, demo_pool, derive_seed, gen_hhm_instance, subsample_real
+from hyperbench import verify
+from hyperbench.verify import _pair_adjacency, find_hhm_any
 
 
 def test_verify_3cl(hstar):
@@ -90,3 +97,136 @@ def test_format_helpers():
     assert format_coloring([0, 1, 2]) == "Coloring:[v0:c0, v1:c1, v2:c2]"
     assert format_cycle([0, 2]) == "Cycle:[e0, e2]"
     assert format_path((1, 0)) == "Path:[e1, e0]"
+
+
+# -- the memoized searches against plain depth-first search ------------------
+
+
+def _plain_find_hhm(h, s, t):
+    """find_hhm without the memo of failed states: ascending-neighbor DFS with
+    a dead-end prune (an unvisited vertex left without a live neighbor)."""
+    n = h.n
+    nbr, pair_edge = _pair_adjacency(h)
+    visited = [False] * n
+    visited[s] = True
+    steps = []
+
+    def dfs(cur, count):
+        if count == n:
+            return cur == t
+        for w in range(n):
+            if not visited[w] and w != cur and not any(not visited[x] or x == cur for x in nbr[w]):
+                return False
+        for nxt in sorted(nbr[cur]):
+            if visited[nxt] or (nxt == t and count != n - 1):
+                continue
+            visited[nxt] = True
+            steps.append(pair_edge[(min(cur, nxt), max(cur, nxt))])
+            if dfs(nxt, count + 1):
+                return True
+            steps.pop()
+            visited[nxt] = False
+        return False
+
+    return tuple(steps) if dfs(s, 1) else None
+
+
+def _plain_find_hhm_any(h):
+    """find_hhm_any with each endpoint pair searched by the plain DFS."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "find_hhm", _plain_find_hhm)
+        return find_hhm_any(h)
+
+
+def _plain_verify_hhm(h, seq, s, t):
+    """verify_hhm without the memo: try every member of each step's edge."""
+    if len(seq) != h.n - 1:
+        return False
+    used = [False] * h.n
+    used[s] = True
+
+    def step(i, cur):
+        if i == len(seq):
+            return cur == t
+        members = h.edges[seq[i]]
+        if cur not in members:
+            return False
+        for nxt in members:
+            if not used[nxt]:
+                used[nxt] = True
+                if step(i + 1, nxt):
+                    return True
+                used[nxt] = False
+        return False
+
+    return step(0, s)
+
+
+REAL_SUBSAMPLES = {"small": 120, "medium": 120, "large": 60}
+
+
+@pytest.mark.parametrize("scale", SCALE_CLASSES)
+def test_find_hhm_matches_plain_dfs_on_real_subsamples(scale):
+    pool = demo_pool()
+    for i in range(REAL_SUBSAMPLES[scale]):
+        h = subsample_real(pool, GenSpec("HHM", scale, "real", derive_seed(5, scale, i)))
+        assert find_hhm_any(h) == _plain_find_hhm_any(h)
+        # fixed endpoints often have no path; the plain search then takes
+        # seconds on some large subsamples, so those are left to find_hhm_any
+        if scale != "large":
+            for s, t in ((0, h.n - 1), (h.n - 1, 1)):
+                assert find_hhm(h, s, t) == _plain_find_hhm(h, s, t)
+
+
+def test_find_hhm_matches_plain_dfs_on_planted_paths():
+    for i in range(100):
+        inst = gen_hhm_instance(GenSpec("HHM", "small", "synthetic", derive_seed(6, "small", i)))
+        h = inst.hypergraph
+        assert find_hhm_any(h) == _plain_find_hhm_any(h)
+        assert find_hhm(h, inst.start, inst.end) == _plain_find_hhm(h, inst.start, inst.end)
+    for i in range(40):
+        inst = gen_hhm_instance(GenSpec("HHM", "medium", "synthetic", derive_seed(6, "medium", i)))
+        h = inst.hypergraph
+        assert find_hhm(h, inst.start, inst.end) == _plain_find_hhm(h, inst.start, inst.end)
+
+
+@st.composite
+def hhm_cases(draw):
+    """A graph of <= 12 vertices holding a planted path, its step sequence with
+    some steps replaced, and endpoints that are the path's or random ones."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
+    vertex = st.integers(0, n - 1)
+    edges = [
+        {order[i], order[i + 1]} | set(draw(st.lists(vertex, max_size=2))) for i in range(n - 1)
+    ] + [set(draw(st.lists(vertex, min_size=2, max_size=4))) for _ in range(draw(st.integers(0, 4)))]
+    h = Hypergraph(n, [tuple(e) for e in edges if len(e) >= 2])
+    seq = list(range(n - 1))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(0, h.num_edges - 1)), max_size=3)):
+        seq[i] = j
+    seq = seq[: draw(st.sampled_from([n - 1, n - 1, n - 2]))]
+    s, t = draw(st.sampled_from([(order[0], order[-1]), tuple(draw(st.permutations(range(n)))[:2])]))
+    return h, seq, s, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(hhm_cases())
+def test_verify_hhm_matches_plain_search(case):
+    h, seq, s, t = case
+    assert verify_hhm(h, seq, s, t) == _plain_verify_hhm(h, seq, s, t)
+
+
+def test_verify_hhm_bounded_on_sliding_windows():
+    # every step's edge holds six consecutive vertices, so without the memo the
+    # search tries millions of orders before it rejects the sequence
+    h = Hypergraph(20, [tuple(range(i, i + 6)) for i in range(15)])
+    seq = [0, 1, 2, 2, 4, 4, 7, 7, 8, 9, 9, 10, 11, 11, 12, 13, 13, 14, 14]
+    start = time.perf_counter()
+    assert not verify_hhm(h, seq, 0, 19)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_make_meta_hhm_92_large_real_is_pinned():
+    meta = make_meta("HHM", 92, "large", "real", 42)
+    assert meta.params == {"s": 0, "t": 2}
+    assert meta.answer["value"] == "Path:[e0, e2, e37, e22, e11, e12, e24, e28, e6, e30, e29, e19, e25, e36, e21, e38, e8]"
