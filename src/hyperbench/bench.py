@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .core import Hypergraph, to_json_dict
@@ -30,24 +32,208 @@ from .generate import (
     gen_shc_instance,
     subsample_real,
 )
-from .solve import solve_dvc, solve_oec, solve_omf, solve_osp
+from .solve import solve_dvc, solve_ism, solve_oec, solve_omf, solve_osp
 from .text_repr import TEXT_FORMATS, render_text
-from .verify import find_3cl, find_hhm_any, find_shc, format_coloring, format_cycle, format_path
+from .verify import find_3cl, find_hhm, find_hhm_any, find_shc, format_coloring, format_cycle, format_path
 from .visual_repr import VISUAL_FORMATS, render_svg, render_svg_pair
 
-TASKS = ("VC", "HEC", "Ne", "DVC", "OEC", "ONe", "OSP", "OMF", "ISM", "3-CL", "SHC", "HHM")
-TASK_LEVELS = {
-    "VC": 1, "HEC": 1, "Ne": 1,
-    "DVC": 2, "OEC": 2, "ONe": 2,
-    "OSP": 3, "OMF": 3, "ISM": 3,
-    "3-CL": 4, "SHC": 4, "HHM": 4,
-}
-UNDERSTANDING_TASKS = ("VC", "HEC", "Ne", "DVC", "OEC", "ONe")
-REASONING_TASKS = ("OSP", "OMF", "ISM", "3-CL", "SHC", "HHM")
 SOURCES = ("synthetic", "real")
 
 # all 35 combos, text-major order
 ALL_COMBOS = tuple((t, v) for t in TEXT_FORMATS for v in VISUAL_FORMATS)
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """Everything that differs between tasks, defined once per task.
+
+    ``question`` is a ``str.format`` template over the task's parameters.
+    ``params`` names them in the order the CLI asks for them; ``draw`` picks
+    them from a generated instance.  ``solve(h, params, h_b)`` gives the exact
+    answer fields (``{"value": ...}``).  ``build(spec, pool)`` replaces random
+    generation plus ``solve`` for the tasks whose instances are made by a
+    constructor or kept as certified real subsamples; it returns
+    ``(h, h_b, params, value)``.
+    """
+
+    id: str
+    level: int
+    kind: str
+    question: str
+    solve: Callable
+    params: tuple[str, ...] = ()
+    draw: Callable | None = None
+    build: Callable | None = None
+    pair: bool = False  # two hypergraphs, H and G
+
+
+def _draw_s_t(h: Hypergraph, rng: random.Random) -> dict:
+    s, t = rng.sample(range(h.n), 2)
+    return {"s": s, "t": t}
+
+
+def _solve_osp(h: Hypergraph, p: dict, _h_b) -> dict:
+    res = solve_osp(h, p["s"], p["t"])
+    return {"value": res.total_weight, "witness": list(res.witness) if res.witness else None}
+
+
+def _subsample_with(pool: SourcePool, spec: GenSpec, search):
+    """A real subsample on which ``search`` finds a certificate, and that
+    certificate (the one found while accepting the subsample)."""
+    found = []
+
+    def require(g: Hypergraph) -> bool:
+        found.append(search(g))
+        return found[-1] is not None
+
+    return subsample_real(pool, spec, require=require), found[-1]
+
+
+def _build_ism(spec: GenSpec, pool):
+    pair = gen_ism_pair(spec, pool)
+    return pair.a, pair.b, {}, pair.isomorphic
+
+
+def _build_3cl(spec: GenSpec, pool):
+    if spec.source == "real":
+        h, coloring = _subsample_with(pool, spec, find_3cl)
+    else:
+        inst = gen_3cl_instance(spec)
+        h, coloring = inst.hypergraph, inst.coloring
+    return h, None, {}, format_coloring(coloring)
+
+
+def _build_shc(spec: GenSpec, pool):
+    if spec.source == "real":
+        h, cycle = _subsample_with(pool, spec, find_shc)
+    else:
+        inst = gen_shc_instance(spec)
+        h, cycle = inst.hypergraph, inst.cycle
+    return h, None, {}, format_cycle(cycle)
+
+
+def _build_hhm(spec: GenSpec, pool):
+    if spec.source == "real":
+        h, (steps, s, t) = _subsample_with(pool, spec, find_hhm_any)
+    else:
+        inst = gen_hhm_instance(spec)
+        h, s, t, steps = inst.hypergraph, inst.start, inst.end, inst.path
+    return h, None, {"s": s, "t": t}, format_path(steps)
+
+
+TASK_TABLE = (
+    TaskSpec(
+        "VC", 1, "count",
+        'Q: How many vertices are in the hypergraph G? List the answer after "Ans:".',
+        solve=lambda h, p, _: {"value": h.num_vertices},
+    ),
+    TaskSpec(
+        "HEC", 1, "count",
+        'Q: How many hyperedges are in the hypergraph G? List the answer after "Ans:".',
+        solve=lambda h, p, _: {"value": h.num_edges},
+    ),
+    TaskSpec(
+        "Ne", 1, "vertex_set",
+        "Q: What are the direct neighbors of vertex v{u} in hypergraph G? "
+        "(Neighbors = vertices sharing at least one hyperedge with v{u}). "
+        'List the answer after "Ans:" in the format {{v1,v2,...}} or "No neighbors".',
+        solve=lambda h, p, _: {"value": list(h.neighbors(p["u"]))},
+        params=("u",),
+        draw=lambda h, rng: {"u": rng.randrange(h.n)},
+    ),
+    TaskSpec(
+        "DVC", 2, "count",
+        "Q: How many vertices have degree {d} in hypergraph G? "
+        "(Degree = number of hyperedges the vertex belongs to). "
+        'List the answer after "Ans:".',
+        solve=lambda h, p, _: {"value": solve_dvc(h, p["d"])},
+        params=("d",),
+        draw=lambda h, rng: {"d": rng.choice(sorted(set(h.degree_sequence())))},
+    ),
+    TaskSpec(
+        "OEC", 2, "count",
+        "Q: How many hyperedges have order {k} in hypergraph G? "
+        "(Order = number of vertices in the hyperedge). "
+        'List the answer after "Ans:".',
+        solve=lambda h, p, _: {"value": solve_oec(h, p["k"])},
+        params=("k",),
+        draw=lambda h, rng: {"k": rng.choice(sorted(set(h.order_sequence())))},
+    ),
+    TaskSpec(
+        "ONe", 2, "vertex_set",
+        "Q: What are the neighbors of vertex v{u} when only considering "
+        "hyperedges with order >= {k} in hypergraph G? "
+        'List the answer after "Ans:" in the format {{v1,v2,...}} or "No n-neighbors".',
+        solve=lambda h, p, _: {"value": list(h.neighbors_filtered(p["u"], p["k"]))},
+        params=("u", "k"),
+        draw=lambda h, rng: {"u": rng.randrange(h.n), "k": rng.choice(sorted(set(h.order_sequence())))},
+    ),
+    TaskSpec(
+        "OSP", 3, "path_weight",
+        "Q: What is the shortest path length from vertex v{s} to vertex v{t} "
+        "in hypergraph G, where each hyperedge's weight equals its order (number of "
+        'vertices)? If no path exists, answer "No path". List the answer after "Ans:".',
+        solve=_solve_osp,
+        params=("s", "t"),
+        draw=_draw_s_t,
+    ),
+    TaskSpec(
+        "OMF", 3, "flow",
+        "Q: What is the estimated maximum flow from vertex v{s} to vertex v{t} "
+        "in hypergraph G, where each hyperedge's capacity equals its order? "
+        'If no flow exists, answer "0". List the answer after "Ans:".',
+        solve=lambda h, p, _: {"value": solve_omf(h, p["s"], p["t"])},
+        params=("s", "t"),
+        draw=_draw_s_t,
+    ),
+    TaskSpec(
+        "ISM", 3, "yes_no",
+        "Q: Are these two hypergraphs isomorphic? (Two hypergraphs are isomorphic if "
+        "there exists a vertex relabeling that transforms one into the other). "
+        'List the answer after "Ans:" in the format [Yes/No].',
+        solve=lambda h, p, h_b: {"value": solve_ism(h, h_b)},
+        build=_build_ism,
+        pair=True,
+    ),
+    TaskSpec(
+        "3-CL", 4, "coloring",
+        "Q: Please provide a 3-coloring strategy such that each hyperedge contains "
+        "nodes with at least 2 different colors (assign each vertex a color from "
+        '{{c0, c1, c2}}). List the answer after "Ans:" as "Coloring:[v0:c0,v1:c1,...]".',
+        solve=lambda h, p, _: {"value": find_3cl(h)},
+        build=_build_3cl,
+    ),
+    TaskSpec(
+        "SHC", 4, "cycle",
+        "Q: Please identify a strict hypercycle in the hypergraph G (A strict "
+        "hypercycle is a sequence of hyperedges e1,e2,...,ek where adjacent "
+        "hyperedges share exactly one vertex, i.e., |e_i ∩ e_{{i+1}}| = 1, and "
+        '|e_k ∩ e_1| = 1, forming a closed loop). List the hypercycle after "Ans:" '
+        'as "Cycle:[e0,e1,...]".',
+        solve=lambda h, p, _: {"value": find_shc(h)},
+        build=_build_shc,
+    ),
+    TaskSpec(
+        "HHM", 4, "path",
+        "Q: Please provide a valid Hamiltonian path from v{s} to v{t}.\n"
+        "(Hamiltonian path = path visiting all vertices exactly once). "
+        'List the answer after "Ans:" as "Path:[e0,e1,...]".',
+        solve=lambda h, p, _: {"value": find_hhm(h, p["s"], p["t"])},
+        params=("s", "t"),
+        build=_build_hhm,
+    ),
+)
+TASK_SPECS = {spec.id: spec for spec in TASK_TABLE}
+TASKS = tuple(TASK_SPECS)
+UNDERSTANDING_TASKS = tuple(spec.id for spec in TASK_TABLE if spec.level <= 2)
+REASONING_TASKS = tuple(spec.id for spec in TASK_TABLE if spec.level >= 3)
+
+
+def task_spec(task: str) -> TaskSpec:
+    spec = TASK_SPECS.get(task)
+    if spec is None:
+        raise ValueError(f"unknown task {task!r}")
+    return spec
 
 
 @dataclass
@@ -64,54 +250,17 @@ class MetaProblem:
     answer: dict
 
 
-def sample_params(h: Hypergraph, task: str, seed: int, allow_zero: bool = False) -> dict:
+def sample_params(h: Hypergraph, task: str, seed: int) -> dict:
     """Task parameters drawn from the instance itself.
 
     Degree/order targets come from the distinct values present (uniform), so
-    the counting answer is nonzero unless ``allow_zero`` widens the draw.
+    the counting answer is nonzero.
     """
-    rng = random.Random(derive_seed(seed, "params"))
-    if task in ("VC", "HEC", "ISM", "3-CL", "SHC"):
-        return {}
-    if task == "Ne":
-        return {"u": rng.randrange(h.n)}
-    if task == "DVC":
-        degrees = sorted(set(h.degree_sequence()))
-        d = rng.randint(0, max(degrees) + 1) if allow_zero else rng.choice(degrees)
-        return {"d": d}
-    if task == "OEC":
-        orders = sorted(set(h.order_sequence()))
-        k = rng.randint(2, max(orders) + 1) if allow_zero else rng.choice(orders)
-        return {"k": k}
-    if task == "ONe":
-        orders = sorted(set(h.order_sequence()))
-        return {"u": rng.randrange(h.n), "k": rng.choice(orders)}
-    if task in ("OSP", "OMF"):
-        s, t = rng.sample(range(h.n), 2)
-        return {"s": s, "t": t}
-    raise ValueError(f"unknown task {task!r}")
+    draw = task_spec(task).draw
+    return draw(h, random.Random(derive_seed(seed, "params"))) if draw else {}
 
 
-_DEMO_POOL: SourcePool | None = None
-
-
-def _default_pool() -> SourcePool:
-    global _DEMO_POOL
-    if _DEMO_POOL is None:
-        _DEMO_POOL = demo_pool()
-    return _DEMO_POOL
-
-
-def _subsample_with(pool: SourcePool, spec: GenSpec, search):
-    """A real subsample on which ``search`` finds a certificate, and that
-    certificate (the one found while accepting the subsample)."""
-    found = []
-
-    def require(g: Hypergraph) -> bool:
-        found.append(search(g))
-        return found[-1] is not None
-
-    return subsample_real(pool, spec, require=require), found[-1]
+_default_pool = cache(demo_pool)  # built once per process, on first real-source use
 
 
 def make_meta(
@@ -121,73 +270,25 @@ def make_meta(
     source: str,
     master_seed: int,
     pool: SourcePool | None = None,
-    allow_zero: bool = False,
 ) -> MetaProblem:
     """Build one fully-solved meta problem deterministically from its seed."""
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
+    spec = task_spec(task)
     seed = derive_seed(master_seed, task, index)
-    spec = GenSpec(task, scale, source, seed)
+    gen_spec = GenSpec(task, scale, source, seed)
     if source == "real" and pool is None:
         pool = _default_pool()
-    h2 = None
-    params: dict = {}
-
-    if task == "ISM":
-        pair = gen_ism_pair(spec, pool)
-        h, h2 = pair.a, pair.b
-        answer = {"kind": "yes_no", "value": pair.isomorphic}
-    elif task == "3-CL":
-        if source == "real":
-            h, coloring = _subsample_with(pool, spec, find_3cl)
-        else:
-            inst = gen_3cl_instance(spec)
-            h, coloring = inst.hypergraph, inst.coloring
-        answer = {"kind": "coloring", "value": format_coloring(coloring)}
-    elif task == "SHC":
-        if source == "real":
-            h, cycle = _subsample_with(pool, spec, find_shc)
-        else:
-            inst = gen_shc_instance(spec)
-            h, cycle = inst.hypergraph, inst.cycle
-        answer = {"kind": "cycle", "value": format_cycle(cycle)}
-    elif task == "HHM":
-        if source == "real":
-            h, (steps, s, t) = _subsample_with(pool, spec, find_hhm_any)
-        else:
-            inst = gen_hhm_instance(spec)
-            h, s, t, steps = inst.hypergraph, inst.start, inst.end, inst.path
-        params = {"s": s, "t": t}
-        answer = {"kind": "path", "value": format_path(steps)}
+    if spec.build is not None:
+        h, h2, params, value = spec.build(gen_spec, pool)
+        answer = {"kind": spec.kind, "value": value}
     else:
-        h = subsample_real(pool, spec) if source == "real" else gen_random_connected(spec)
-        params = sample_params(h, task, seed, allow_zero)
-        if task == "VC":
-            answer = {"kind": "count", "value": h.num_vertices}
-        elif task == "HEC":
-            answer = {"kind": "count", "value": h.num_edges}
-        elif task == "Ne":
-            answer = {"kind": "vertex_set", "value": list(h.neighbors(params["u"]))}
-        elif task == "DVC":
-            answer = {"kind": "count", "value": solve_dvc(h, params["d"])}
-        elif task == "OEC":
-            answer = {"kind": "count", "value": solve_oec(h, params["k"])}
-        elif task == "ONe":
-            answer = {"kind": "vertex_set", "value": list(h.neighbors_filtered(params["u"], params["k"]))}
-        elif task == "OSP":
-            res = solve_osp(h, params["s"], params["t"])
-            answer = {
-                "kind": "path_weight",
-                "value": res.total_weight if res.reachable else None,
-                "witness": list(res.witness) if res.witness else None,
-            }
-        else:  # OMF
-            answer = {"kind": "flow", "value": solve_omf(h, params["s"], params["t"])}
-
+        h = subsample_real(pool, gen_spec) if source == "real" else gen_random_connected(gen_spec)
+        h2 = None
+        params = sample_params(h, task, seed)
+        answer = {"kind": spec.kind, **spec.solve(h, params, None)}
     return MetaProblem(
         id=f"{task}-{index:04d}",
         task=task,
-        level=TASK_LEVELS[task],
+        level=spec.level,
         scale=scale,
         source=source,
         seed=seed,
@@ -200,79 +301,12 @@ def make_meta(
 
 def question_sentence(meta: MetaProblem) -> str:
     """The task question with parameters substituted (no graph rendering)."""
-    task, p = meta.task, meta.params
-    if task == "VC":
-        return 'Q: How many vertices are in the hypergraph G? List the answer after "Ans:".'
-    if task == "HEC":
-        return 'Q: How many hyperedges are in the hypergraph G? List the answer after "Ans:".'
-    if task == "Ne":
-        return (
-            f"Q: What are the direct neighbors of vertex v{p['u']} in hypergraph G? "
-            f"(Neighbors = vertices sharing at least one hyperedge with v{p['u']}). "
-            'List the answer after "Ans:" in the format {v1,v2,...} or "No neighbors".'
-        )
-    if task == "DVC":
-        return (
-            f"Q: How many vertices have degree {p['d']} in hypergraph G? "
-            "(Degree = number of hyperedges the vertex belongs to). "
-            'List the answer after "Ans:".'
-        )
-    if task == "OEC":
-        return (
-            f"Q: How many hyperedges have order {p['k']} in hypergraph G? "
-            "(Order = number of vertices in the hyperedge). "
-            'List the answer after "Ans:".'
-        )
-    if task == "ONe":
-        return (
-            f"Q: What are the neighbors of vertex v{p['u']} when only considering "
-            f"hyperedges with order >= {p['k']} in hypergraph G? "
-            'List the answer after "Ans:" in the format {v1,v2,...} or "No n-neighbors".'
-        )
-    if task == "OSP":
-        return (
-            f"Q: What is the shortest path length from vertex v{p['s']} to vertex v{p['t']} "
-            "in hypergraph G, where each hyperedge's weight equals its order (number of "
-            'vertices)? If no path exists, answer "No path". List the answer after "Ans:".'
-        )
-    if task == "OMF":
-        return (
-            f"Q: What is the estimated maximum flow from vertex v{p['s']} to vertex v{p['t']} "
-            "in hypergraph G, where each hyperedge's capacity equals its order? "
-            'If no flow exists, answer "0". List the answer after "Ans:".'
-        )
-    if task == "ISM":
-        return (
-            "Q: Are these two hypergraphs isomorphic? (Two hypergraphs are isomorphic if "
-            "there exists a vertex relabeling that transforms one into the other). "
-            'List the answer after "Ans:" in the format [Yes/No].'
-        )
-    if task == "3-CL":
-        return (
-            "Q: Please provide a 3-coloring strategy such that each hyperedge contains "
-            "nodes with at least 2 different colors (assign each vertex a color from "
-            '{c0, c1, c2}). List the answer after "Ans:" as "Coloring:[v0:c0,v1:c1,...]".'
-        )
-    if task == "SHC":
-        return (
-            "Q: Please identify a strict hypercycle in the hypergraph G (A strict "
-            "hypercycle is a sequence of hyperedges e1,e2,...,ek where adjacent "
-            "hyperedges share exactly one vertex, i.e., |e_i ∩ e_{i+1}| = 1, and "
-            '|e_k ∩ e_1| = 1, forming a closed loop). List the hypercycle after "Ans:" '
-            'as "Cycle:[e0,e1,...]".'
-        )
-    if task == "HHM":
-        return (
-            f"Q: Please provide a valid Hamiltonian path from v{p['s']} to v{p['t']}.\n"
-            "(Hamiltonian path = path visiting all vertices exactly once). "
-            'List the answer after "Ans:" as "Path:[e0,e1,...]".'
-        )
-    raise ValueError(f"unknown task {task!r}")
+    return task_spec(meta.task).question.format(**meta.params)
 
 
 def prompt_for(meta: MetaProblem, text_fmt: str) -> str:
     """Full textual prompt: rendering(s) plus the question sentence."""
-    if meta.task == "ISM":
+    if meta.hypergraph_b is not None:
         return (
             "There are two hypergraphs: H and G.\n"
             "The description of H is:\n"
@@ -288,7 +322,7 @@ def prompt_for(meta: MetaProblem, text_fmt: str) -> str:
 def render_meta_svg(meta: MetaProblem, visual_fmt: str) -> str:
     """The sample image for a meta (ISM pairs share one canvas and seed)."""
     svg_seed = derive_seed(meta.seed, "svg", visual_fmt)
-    if meta.task == "ISM":
+    if meta.hypergraph_b is not None:
         return render_svg_pair(meta.hypergraph, meta.hypergraph_b, visual_fmt, seed=svg_seed)
     return render_svg(meta.hypergraph, visual_fmt, seed=svg_seed)
 
@@ -405,8 +439,6 @@ def emit_corpus(
         metas = [make_meta(t, i, sc, so, master_seed, pool) for t, i, sc, so in assignments]
 
     manifest_path = outdir / "manifest.jsonl"
-    sample_count = 0
-    image_count = 0
     with open(manifest_path, "w", encoding="utf-8") as mf:
         for meta in metas:
             if log:
@@ -418,24 +450,14 @@ def emit_corpus(
                     for text_fmt in TEXT_FORMATS:
                         path = images_dir / f"{meta.id}__{text_fmt}__{visual_fmt}.svg"
                         path.write_text(svg, encoding="utf-8")
-                        image_count += 1
             for row in rows:
                 mf.write(json.dumps(row, sort_keys=True))
                 mf.write("\n")
-                sample_count += 1
+    samples = len(metas) * len(ALL_COMBOS)  # one row, and with images one SVG, per combo
     return {
         "metas": len(metas),
-        "samples": sample_count,
-        "images": image_count,
+        "samples": samples,
+        "images": samples if write_images else 0,
         "manifest": str(manifest_path),
     }
 
-
-def load_manifest(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows

@@ -16,32 +16,20 @@ import time
 from pathlib import Path
 
 from . import generate as gen
-from .bench import emit_corpus
-from .core import Hypergraph, load_json, save_json
+from .bench import TASK_TABLE, emit_corpus
+from .core import Hypergraph, load_json, read_jsonl, save_json
 from .grade import (
+    CERTIFICATE_KINDS,
     GradeOptions,
     aggregate,
     build_prm,
+    check_certificate,
     grade_responses,
     parse_answer,
-    read_responses,
     write_grades,
     write_prm,
 )
-from .solve import (
-    oracle_ism,
-    oracle_omf,
-    oracle_osp,
-    solve_dvc,
-    solve_hec,
-    solve_ism,
-    solve_ne,
-    solve_oec,
-    solve_omf,
-    solve_one,
-    solve_osp,
-    solve_vc,
-)
+from .solve import oracle_ism, oracle_omf, oracle_osp, solve_ism, solve_omf, solve_osp
 from .text_repr import TEXT_FORMATS, render_text
 from .verify import verify_3cl, verify_hhm, verify_shc
 from .visual_repr import VISUAL_FORMATS, render_svg, render_svg_pair
@@ -49,6 +37,12 @@ from .visual_repr import VISUAL_FORMATS, render_svg, render_svg_pair
 
 class UsageError(Exception):
     pass
+
+
+# CLI task names are the task ids in lower case without hyphens (3-CL -> 3cl)
+_CLI_TASKS = {spec.id.lower().replace("-", ""): spec for spec in TASK_TABLE}
+_VERIFY_TASKS = [name for name, spec in _CLI_TASKS.items() if spec.kind in CERTIFICATE_KINDS]
+_PARAM_FLAGS = {"u": "v"}  # the vertex parameter is spelled --v
 
 
 def _default_out() -> str:
@@ -65,13 +59,22 @@ def _parse_mix(text: str, parts: int) -> tuple[int, ...]:
     return mix
 
 
-def _load_graph(path: str) -> Hypergraph:
+def _load(what: str, loader, path: str):
+    """``loader(path)``, with a missing or malformed file as a usage error."""
     try:
-        return load_json(path)
+        return loader(path)
     except FileNotFoundError:
-        raise UsageError(f"graph file not found: {path}")
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"bad graph file {path}: {exc}")
+        raise UsageError(f"{what} file not found: {path}")
+    except (ValueError, IndexError, KeyError, TypeError) as exc:
+        raise UsageError(f"bad {what} file {path}: {exc}")
+
+
+def _load_graph(path: str) -> Hypergraph:
+    return _load("graph", load_json, path)
+
+
+def _load_pool(path: str | None) -> gen.SourcePool | None:
+    return _load("pool", gen.load_pool, path) if path else None
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +85,7 @@ def _load_graph(path: str) -> Hypergraph:
 def _cmd_generate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    pool = gen.load_pool(args.pool) if args.pool else None
+    pool = _load_pool(args.pool)
     if args.source == "real" and pool is None:
         pool = gen.demo_pool()
     for i in range(args.count):
@@ -92,24 +95,17 @@ def _cmd_generate(args) -> int:
             source=args.source,
             seed=gen.derive_seed(args.seed, "cli-gen", i),
         )
-        if args.task == "ism":
-            pair = gen.gen_ism_pair(spec, pool=pool)
-            pa = outdir / f"g-{i:04d}-a.json"
-            pb = outdir / f"g-{i:04d}-b.json"
-            save_json(pair.a, pa)
-            save_json(pair.b, pb)
-            print(json.dumps({"a": str(pa), "b": str(pb), "isomorphic": pair.isomorphic}, sort_keys=True))
-            continue
-        if args.task == "3cl":
-            h = gen.gen_3cl_instance(spec).hypergraph
-        elif args.task == "shc":
-            h = gen.gen_shc_instance(spec).hypergraph
-        elif args.task == "hhm":
-            h = gen.gen_hhm_instance(spec).hypergraph
-        elif args.source == "real":
-            h = gen.subsample_real(pool, spec)
-        else:
-            h = gen.gen_random_connected(spec)
+        if args.task == "generic":
+            h = gen.subsample_real(pool, spec) if args.source == "real" else gen.gen_random_connected(spec)
+        else:  # the task's own constructor, or certified real subsample
+            h, h_b, _, value = _CLI_TASKS[args.task].build(spec, pool)
+            if h_b is not None:
+                pa = outdir / f"g-{i:04d}-a.json"
+                pb = outdir / f"g-{i:04d}-b.json"
+                save_json(h, pa)
+                save_json(h_b, pb)
+                print(json.dumps({"a": str(pa), "b": str(pb), "isomorphic": value}, sort_keys=True))
+                continue
         path = outdir / f"g-{i:04d}.json"
         save_json(h, path)
         print(json.dumps({"path": str(path), "n": h.n, "m": len(h.edges)}, sort_keys=True))
@@ -140,92 +136,49 @@ def _require(args, *names):
             raise UsageError(f"--{name.replace('_', '-')} is required for task {args.task}")
 
 
+def _task_params(args, spec) -> dict:
+    """The task's parameters, read from their flags."""
+    flags = [_PARAM_FLAGS.get(name, name) for name in spec.params]
+    _require(args, *flags)
+    return {name: getattr(args, flag) for name, flag in zip(spec.params, flags)}
+
+
 def _cmd_solve(args) -> int:
     h = _load_graph(args.graph)
-    task = args.task
-    result: dict = {"task": task}
-    if task == "vc":
-        result["value"] = solve_vc(h)
-    elif task == "hec":
-        result["value"] = solve_hec(h)
-    elif task == "ne":
-        _require(args, "v")
-        result["value"] = solve_ne(h, args.v)
-    elif task == "dvc":
-        _require(args, "d")
-        result["value"] = solve_dvc(h, args.d)
-    elif task == "oec":
-        _require(args, "k")
-        result["value"] = solve_oec(h, args.k)
-    elif task == "one":
-        _require(args, "v", "k")
-        result["value"] = solve_one(h, args.v, args.k)
-    elif task == "osp":
-        _require(args, "s", "t")
-        res = solve_osp(h, args.s, args.t)
-        result["value"] = res.total_weight
-        result["witness"] = list(res.witness) if res.witness is not None else None
-    elif task == "omf":
-        _require(args, "s", "t")
-        result["value"] = solve_omf(h, args.s, args.t)
-    elif task == "ism":
+    spec = _CLI_TASKS[args.task]
+    params = _task_params(args, spec)
+    h_b = None
+    if spec.pair:
         _require(args, "graph_b")
-        result["value"] = solve_ism(h, _load_graph(args.graph_b))
-    elif task == "3cl":
-        from .verify import find_3cl
-
-        coloring = find_3cl(h)
-        result["value"] = coloring
-    elif task == "shc":
-        from .verify import find_shc
-
-        result["value"] = find_shc(h)
-    elif task == "hhm":
-        _require(args, "s", "t")
-        from .verify import find_hhm
-
-        result["value"] = find_hhm(h, args.s, args.t)
-    else:
-        raise UsageError(f"unknown task {task!r}")
-    print(json.dumps(result, sort_keys=True))
+        h_b = _load_graph(args.graph_b)
+    try:
+        answer = spec.solve(h, params, h_b)
+    except (ValueError, IndexError) as exc:  # a parameter the solver rejects
+        raise UsageError(str(exc))
+    print(json.dumps({"task": args.task, **answer}, sort_keys=True))
     return 0
-
-
-_VERIFY_TASK = {"3cl": "3-CL", "shc": "SHC", "hhm": "HHM"}
 
 
 def _cmd_verify(args) -> int:
     h = _load_graph(args.graph)
-    parsed = parse_answer(_VERIFY_TASK[args.task], "Ans: " + args.cert)
+    spec = _CLI_TASKS[args.task]
+    parsed = parse_answer(spec.id, "Ans: " + args.cert)
     if parsed.failed:
         raise UsageError(f"could not parse certificate {args.cert!r}")
-    if args.task == "3cl":
-        if set(parsed.value) != set(range(h.n)):
-            valid = False
-        else:
-            valid = verify_3cl(h, [parsed.value[v] for v in range(h.n)])
-    elif args.task == "shc":
-        try:
-            valid = verify_shc(h, parsed.value)
-        except IndexError:
-            valid = False
-    else:
-        _require(args, "s", "t")
-        try:
-            valid = verify_hhm(h, parsed.value, args.s, args.t)
-        except IndexError:
-            valid = False
+    try:
+        valid, _ = check_certificate(spec.kind, h, parsed.value, _task_params(args, spec))
+    except ValueError as exc:  # equal path endpoints
+        raise UsageError(str(exc))
     print("VALID" if valid else "INVALID")
     return 0 if valid else 1
 
 
 def _cmd_emit(args) -> int:
-    pool = gen.load_pool(args.pool) if args.pool else None
     summary = emit_corpus(
         per_task=args.per_task,
         master_seed=args.seed,
         outdir=args.out,
-        pool=pool,
+        pool=_load_pool(args.pool),
         scale_mix=_parse_mix(args.scale_mix, 3),
         source_mix=_parse_mix(args.source_mix, 2),
         jobs=args.jobs,
@@ -236,34 +189,21 @@ def _cmd_emit(args) -> int:
     return 0
 
 
-def _grade_options(args) -> GradeOptions:
-    return GradeOptions(lenient=not args.strict, marker=args.marker)
-
-
-def _read_manifest(path: str) -> list[dict]:
-    rows = []
+def _read_rows(path: str, what: str) -> list[dict]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
-                    try:
-                        rows.append(json.loads(line))
-                    except ValueError as exc:
-                        raise UsageError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
+        return read_jsonl(path)
     except FileNotFoundError:
-        raise UsageError(f"manifest not found: {path}")
-    return rows
+        raise UsageError(f"{what} not found: {path}")
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _grade_files(args):
     """The manifest rows and the grade records of the responses file."""
-    manifest = _read_manifest(args.manifest)
+    manifest = _read_rows(args.manifest, "manifest")
+    responses = _read_rows(args.responses, "responses")
     try:
-        responses = read_responses(args.responses)
-        return manifest, grade_responses(manifest, responses, _grade_options(args))
-    except FileNotFoundError:
-        raise UsageError(f"responses not found: {args.responses}")
+        return manifest, grade_responses(manifest, responses, GradeOptions(lenient=not args.strict, marker=args.marker))
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -321,21 +261,6 @@ def _fixtures_dir() -> Path | None:
     return packaged if packaged.is_dir() else None
 
 
-_GOLDEN_FILES = {
-    "LO-Inc": "lo_inc.txt",
-    "N-Pair": "n_pair.txt",
-    "Adj-Mat": "adj_mat.txt",
-    "HO-Neigh": "ho_neigh.txt",
-    "HO-Inc": "ho_inc.txt",
-    "N-Set": "n_set.txt",
-    "Inc-Mat": "inc_mat.txt",
-}
-
-
-def _reference_graph() -> Hypergraph:
-    return Hypergraph(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
-
-
 def _selfcheck_oracles(report) -> bool:
     import itertools
     import random
@@ -382,7 +307,7 @@ def _cmd_selfcheck(args) -> int:
             failures += 1
         return passed
 
-    h = _reference_graph()
+    h = Hypergraph(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])  # the README's reference hypergraph
     report("reference degrees", [h.degree(v) for v in range(5)] == [1, 2, 3, 2, 1])
     osp = solve_osp(h, 0, 4)
     report("reference shortest path", osp.total_weight == 6 and osp.witness == (0, 2))
@@ -396,7 +321,8 @@ def _cmd_selfcheck(args) -> int:
     if fixtures is None:
         print("skip - golden text files (fixtures directory not found)")
     else:
-        for fmt, fname in _GOLDEN_FILES.items():
+        for fmt in TEXT_FORMATS:
+            fname = fmt.lower().replace("-", "_") + ".txt"  # LO-Inc -> lo_inc.txt
             path = fixtures / fname
             if not path.is_file():
                 print(f"skip - golden {fmt} (missing {fname})")
@@ -448,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output file, or - for stdout")
 
     p = sub.add_parser("solve", help="exact ground truth for one task instance")
-    p.add_argument("--task", required=True,
-                   choices=["vc", "hec", "ne", "dvc", "oec", "one", "osp", "omf", "ism", "3cl", "shc", "hhm"])
+    p.add_argument("--task", required=True, choices=list(_CLI_TASKS))
     p.add_argument("--graph", required=True)
     p.add_argument("--graph-b", dest="graph_b")
     p.add_argument("--v", type=int)
@@ -459,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
 
     p = sub.add_parser("verify", help="check a certificate; prints VALID/INVALID")
-    p.add_argument("--task", required=True, choices=["3cl", "shc", "hhm"])
+    p.add_argument("--task", required=True, choices=_VERIFY_TASKS)
     p.add_argument("--graph", required=True)
     p.add_argument("--cert", required=True)
     p.add_argument("--s", type=int)
@@ -477,19 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", default=_default_out())
 
-    p = sub.add_parser("grade", help="grade responses; write grades + accuracy CSV")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--responses", required=True)
-    p.add_argument("--strict", action="store_true", help="reject answers needing leniency")
-    p.add_argument("--marker", choices=["last", "first"], default="last")
-    p.add_argument("--out", default=_default_out())
-
-    p = sub.add_parser("prm", help="build best-combo routing dataset from graded responses")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--responses", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--marker", choices=["last", "first"], default="last")
-    p.add_argument("--out", default=_default_out())
+    for name, help_text in (
+        ("grade", "grade responses; write grades + accuracy CSV"),
+        ("prm", "build best-combo routing dataset from graded responses"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--responses", required=True)
+        p.add_argument("--strict", action="store_true", help="reject answers needing leniency")
+        p.add_argument("--marker", choices=["last", "first"], default="last")
+        p.add_argument("--out", default=_default_out())
 
     sub.add_parser("selfcheck", help="run built-in oracle and golden-file checks")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 
 MIN_EDGE_SIZE = 2
 
@@ -156,26 +155,6 @@ class Hypergraph:
         return len(seen) == self.n
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Degree and order tallies for one hypergraph."""
-
-    degrees: tuple[int, ...]
-    orders: tuple[int, ...]
-
-    @property
-    def degree_total(self) -> int:
-        return sum(self.degrees)
-
-    @property
-    def order_total(self) -> int:
-        return sum(self.orders)
-
-
-def degree_profile(h: Hypergraph) -> DegreeProfile:
-    return DegreeProfile(h.degree_sequence(), h.order_sequence())
-
-
 def to_json_dict(h: Hypergraph) -> dict:
     return {"n": h.n, "edges": [list(e) for e in h.edges]}
 
@@ -206,12 +185,35 @@ def load_json(path) -> Hypergraph:
         return loads(fh.read())
 
 
+def read_jsonl(path) -> list[dict]:
+    """The records of a JSONL file; ValueError naming the first malformed line."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                try:
+                    rows.append(json.loads(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
+    return rows
+
+
+def write_jsonl(path, records) -> None:
+    """One JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True))
+            fh.write("\n")
+
+
 def parse_hmetis(text: str) -> Hypergraph:
     """Parse the plain hMETIS hypergraph format.
 
-    First non-comment line is ``<num_edges> <num_vertices>``; each following
-    line lists one hyperedge as 1-based vertex ids.  Lines starting with
-    ``%`` are comments.
+    First non-comment line is ``<num_edges> <num_vertices> [fmt]``; each
+    following line lists one hyperedge as 1-based vertex ids.  Lines starting
+    with ``%`` are comments.  Only unweighted files (``fmt`` absent or 0) are
+    read: a weighted file would have its weights taken as vertex ids.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("%")]
@@ -220,6 +222,8 @@ def parse_hmetis(text: str) -> Hypergraph:
     head = lines[0].split()
     if len(head) < 2:
         raise ValueError(f"bad hMETIS header: {lines[0]!r}")
+    if len(head) > 2 and head[2] != "0":
+        raise ValueError(f"hMETIS header field fmt is {head[2]!r}; only unweighted files (fmt 0) are supported")
     m, n = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"hMETIS header promises {m} hyperedges, found {len(lines) - 1}")

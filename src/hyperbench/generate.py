@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import Hypergraph
+from .core import Hypergraph, loads, parse_hmetis
 from .verify import verify_hhm, verify_shc
 
 SCALE_RANGES = {"small": (5, 10), "medium": (10, 15), "large": (15, 20)}
@@ -121,27 +121,37 @@ def _random_edge(rng: random.Random, n: int, cap: int) -> tuple[int, ...]:
     return tuple(sorted(rng.sample(range(n), rng.randint(2, cap))))
 
 
-def _bridge_components(rng: random.Random, n: int, edges: list, max_edges: int) -> bool:
-    """Append 2-edges joining components until connected; False if out of room."""
+def _bridge_components(rng: random.Random, n: int, edges: list, max_edges: int, join=None) -> bool:
+    """Append edges joining components until connected; False if out of room.
+
+    Each bridge joins a random vertex of the first component to one of the
+    second: the 2-edge between them, or ``join(a, b)`` when given.
+    """
     comps = _components(n, edges)
     while len(comps) > 1:
         if len(edges) >= max_edges:
             return False
         a = rng.choice(comps[0])
         b = rng.choice(comps[1])
-        edges.append((min(a, b), max(a, b)))
+        edges.append(join(a, b) if join else (min(a, b), max(a, b)))
         comps = _components(n, edges)
     return True
 
 
-def gen_random_connected(spec: GenSpec) -> Hypergraph:
-    """Connected random hypergraph with |V| in the scale range and |E| in band."""
+def _attempts(spec: GenSpec, label: str):
+    """The 64 seeded tries of a constructor: (rng, vertex count drawn from the
+    scale range, hyperedge-count band, largest hyperedge order)."""
     lo, hi = SCALE_RANGES[spec.scale]
     for attempt in range(64):
-        rng = random.Random(derive_seed(spec.seed, "rand", attempt))
+        rng = random.Random(derive_seed(spec.seed, label, attempt))
         n = rng.randint(lo, hi)
         emin, emax = edge_count_bounds(n)
-        cap = min(MAX_ORDER, n)
+        yield rng, n, emin, emax, min(MAX_ORDER, n)
+
+
+def gen_random_connected(spec: GenSpec) -> Hypergraph:
+    """Connected random hypergraph with |V| in the scale range and |E| in band."""
+    for rng, n, emin, emax, cap in _attempts(spec, "rand"):
         edges = [_random_edge(rng, n, cap) for _ in range(rng.randint(emin, emax) - 1)]
         if not _bridge_components(rng, n, edges, emax):
             continue
@@ -160,12 +170,7 @@ def gen_3cl_instance(spec: GenSpec) -> ThreeColInstance:
     spans at least two color classes, so the planted coloring verifies by
     construction.
     """
-    lo, hi = SCALE_RANGES[spec.scale]
-    for attempt in range(64):
-        rng = random.Random(derive_seed(spec.seed, "3cl", attempt))
-        n = rng.randint(lo, hi)
-        emin, emax = edge_count_bounds(n)
-        cap = min(MAX_ORDER, n)
+    for rng, n, emin, emax, cap in _attempts(spec, "3cl"):
         colors = [rng.randrange(3) for _ in range(n)]
         anchors = rng.sample(range(n), 3)
         for c, v in enumerate(anchors):
@@ -183,22 +188,15 @@ def gen_3cl_instance(spec: GenSpec) -> ThreeColInstance:
             other = next(a for a in anchors if colors[a] != colors[edge[0]])
             return tuple(sorted({other} | set(edge[1:])))
 
-        edges = [repaired(_random_edge(rng, n, cap)) for _ in range(rng.randint(emin, emax) - 1)]
-        comps = _components(n, edges)
-        bridged = True
-        while len(comps) > 1:
-            if len(edges) >= emax:
-                bridged = False
-                break
-            a = rng.choice(comps[0])
-            b = rng.choice(comps[1])
+        def bridge(a, b) -> tuple[int, ...]:
             if colors[a] != colors[b]:
-                edges.append((min(a, b), max(a, b)))
-            else:
-                x = next(v for v in anchors if colors[v] != colors[a])
-                edges.append(tuple(sorted({a, b, x})))
-            comps = _components(n, edges)
-        if not bridged:
+                return (min(a, b), max(a, b))
+            # same color: add an anchor of another color
+            x = next(v for v in anchors if colors[v] != colors[a])
+            return tuple(sorted({a, b, x}))
+
+        edges = [repaired(_random_edge(rng, n, cap)) for _ in range(rng.randint(emin, emax) - 1)]
+        if not _bridge_components(rng, n, edges, emax, bridge):
             continue
         while len(edges) < emin:
             edges.append(repaired(_random_edge(rng, n, cap)))
@@ -225,12 +223,7 @@ def gen_shc_instance(spec: GenSpec) -> ShcInstance:
     Distractors never touch the backbone's pairwise intersections, so the
     recorded certificate stays valid.
     """
-    lo, hi = SCALE_RANGES[spec.scale]
-    for attempt in range(64):
-        rng = random.Random(derive_seed(spec.seed, "shc", attempt))
-        n = rng.randint(lo, hi)
-        emin, emax = edge_count_bounds(n)
-        cap = min(MAX_ORDER, n)
+    for rng, n, emin, emax, cap in _attempts(spec, "shc"):
         m = rng.randint(max(3, emin), emax)
         ring_len = rng.randint(3, min(m, n))
         junctions = rng.sample(range(n), ring_len)
@@ -267,12 +260,7 @@ def gen_hhm_instance(spec: GenSpec) -> HhmInstance:
     consecutive run, the next window starting at the previous window's last
     vertex); every step of the order is then witnessed by its window edge.
     """
-    lo, hi = SCALE_RANGES[spec.scale]
-    for attempt in range(64):
-        rng = random.Random(derive_seed(spec.seed, "hhm", attempt))
-        n = rng.randint(lo, hi)
-        emin, emax = edge_count_bounds(n)
-        cap = min(MAX_ORDER, n)
+    for rng, n, emin, emax, cap in _attempts(spec, "hhm"):
         pi = rng.sample(range(n), n)
         windows = []
         step_window = [0] * (n - 1)  # step t covers (pi[t], pi[t+1])
@@ -387,14 +375,12 @@ class SourcePool:
 
 def load_pool(path) -> SourcePool:
     """Load a source pool from canonical JSON (.json) or hMETIS text."""
-    from . import core
-
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     name = str(path).rsplit("/", 1)[-1]
     if str(path).endswith(".json"):
-        return SourcePool(core.loads(text), name)
-    return SourcePool(core.parse_hmetis(text), name)
+        return SourcePool(loads(text), name)
+    return SourcePool(parse_hmetis(text), name)
 
 
 def demo_pool() -> SourcePool:
@@ -405,16 +391,6 @@ def demo_pool() -> SourcePool:
     if not _bridge_components(rng, n, edges, 200):  # pragma: no cover - tiny odds
         raise GenerationError("demo pool construction failed")
     return SourcePool(Hypergraph(n, edges), "demo")
-
-
-def reindex_canonical(h: Hypergraph, order) -> Hypergraph:
-    """Renumber vertices so order[i] becomes i; re-sort edges lexicographically."""
-    order = list(order)
-    if sorted(order) != list(range(h.n)):
-        raise ValueError("order must be a permutation of the vertex ids")
-    new_id = {old: new for new, old in enumerate(order)}
-    edges = sorted(tuple(sorted(new_id[v] for v in e)) for e in h.edges)
-    return Hypergraph(h.n, edges)
 
 
 def subsample_real(
@@ -428,7 +404,7 @@ def subsample_real(
     Walks vertex -> random incident hyperedge -> random member until the
     target vertex count is collected, then keeps each pool hyperedge's
     restriction to the visited set when it has >= 2 vertices (dropping exact
-    duplicate restrictions).  Retries with fresh walks until connected and,
+    duplicate restrictions), in lexicographic order.  Retries with fresh walks until connected and,
     if given, until ``require(h)`` holds.
     """
     big = pool.hypergraph
@@ -461,7 +437,7 @@ def subsample_real(
             if len(restricted) >= 2 and restricted not in seen:
                 seen.add(restricted)
                 edges.append(restricted)
-        h = reindex_canonical(Hypergraph(goal, edges), range(goal))
+        h = Hypergraph(goal, sorted(edges))
         if not h.is_connected():
             continue
         if require is None or require(h):

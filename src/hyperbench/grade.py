@@ -11,25 +11,15 @@ one.
 
 from __future__ import annotations
 
-import json
 import re
 import warnings
 from dataclasses import dataclass, field
 
-from .bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS
-from .core import from_json_dict
+from .bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS, task_spec
+from .core import from_json_dict, write_jsonl
 from .text_repr import TEXT_FORMATS
 from .verify import format_coloring, verify_3cl, verify_hhm, verify_shc
 from .visual_repr import VISUAL_FORMATS
-
-TASK_TO_KIND = {
-    "VC": "count", "HEC": "count", "DVC": "count", "OEC": "count",
-    "Ne": "vertex_set", "ONe": "vertex_set",
-    "OSP": "path_weight", "OMF": "flow",
-    "ISM": "yes_no",
-    "3-CL": "coloring", "SHC": "cycle", "HHM": "path",
-}
-
 
 @dataclass(frozen=True)
 class GradeOptions:
@@ -154,9 +144,7 @@ def _parse_edge_sequence(payload: str, kind: str, keyword: str, flags: list[str]
 
 def parse_answer(task: str, raw_text: str, options: GradeOptions = DEFAULT_OPTIONS) -> ParsedAnswer:
     """Extract the typed answer for ``task`` from a model reply."""
-    kind = TASK_TO_KIND.get(task)
-    if kind is None:
-        raise ValueError(f"unknown task {task!r}")
+    kind = task_spec(task).kind
     payload, flags = _payload(raw_text, options)
     if payload is None:
         return _failure(*flags)
@@ -187,6 +175,29 @@ def parse_answer(task: str, raw_text: str, options: GradeOptions = DEFAULT_OPTIO
     return parsed
 
 
+CERTIFICATE_KINDS = ("coloring", "cycle", "path")
+
+
+def check_certificate(kind: str, h, value, params: dict) -> tuple[bool, tuple[str, ...]]:
+    """Verify a parsed 3-CL coloring, SHC cycle or HHM path against ``h``.
+
+    Returns the verdict and the flags it raises: ``partial_coloring`` when
+    the coloring misses or adds a vertex, ``invalid_ids`` when an id is out
+    of range, ``shc_k2`` when a valid hypercycle has only two hyperedges.
+    """
+    if kind == "coloring":
+        if set(value) != set(range(h.n)):
+            return False, ("partial_coloring",)
+        return verify_3cl(h, value), ()
+    try:
+        if kind == "cycle":
+            ok = verify_shc(h, value)
+            return ok, ("shc_k2",) if ok and len(value) == 2 else ()
+        return verify_hhm(h, value, params["s"], params["t"]), ()
+    except IndexError:
+        return False, ("invalid_ids",)
+
+
 def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
     """Decide correctness of a parsed answer against a manifest row."""
     spec = row["answer_spec"]
@@ -195,43 +206,22 @@ def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
         return False, parsed.flags
     if parsed.kind != kind:
         return False, parsed.flags + ("kind_mismatch",)
-    extra: list[str] = []
-    if kind in ("count", "flow"):
-        ok = parsed.value == spec["value"]
-    elif kind == "path_weight":
-        ok = parsed.value == spec["value"]
-    elif kind == "vertex_set":
-        ok = sorted(parsed.value) == sorted(spec["value"])
-    elif kind == "yes_no":
-        ok = parsed.value == spec["value"]
-    elif kind == "coloring":
-        h = from_json_dict(spec["graph"])
-        if set(parsed.value) != set(range(h.n)):
-            return False, parsed.flags + ("partial_coloring",)
-        vec = [parsed.value[v] for v in range(h.n)]
-        ok = verify_3cl(h, vec)
-    elif kind == "cycle":
-        h = from_json_dict(spec["graph"])
-        try:
-            ok = verify_shc(h, parsed.value)
-        except IndexError:
-            return False, parsed.flags + ("invalid_ids",)
-        if ok and len(parsed.value) == 2:
-            extra.append("shc_k2")
-    elif kind == "path":
-        h = from_json_dict(spec["graph"])
-        params = spec["params"]
-        try:
-            ok = verify_hhm(h, parsed.value, params["s"], params["t"])
-        except IndexError:
-            return False, parsed.flags + ("invalid_ids",)
-    else:
-        raise ValueError(f"unknown answer kind {kind!r}")
-    return ok, parsed.flags + tuple(extra)
+    if kind in CERTIFICATE_KINDS:
+        ok, extra = check_certificate(kind, from_json_dict(spec["graph"]), parsed.value, spec["params"])
+        return ok, parsed.flags + extra
+    if kind == "vertex_set":
+        return sorted(parsed.value) == sorted(spec["value"]), parsed.flags
+    return parsed.value == spec["value"], parsed.flags
 
 
-def index_manifest(manifest_rows) -> dict[str, dict]:
-    return {row["sample_id"]: row for row in manifest_rows}
+def index_manifest(manifest_rows, sample_ids, what: str) -> dict[str, dict]:
+    """The manifest rows by sample id; ValueError if ``sample_ids`` (of the
+    responses or records, named by ``what``) include one the manifest lacks."""
+    by_id = {row["sample_id"]: row for row in manifest_rows}
+    unknown = [sid for sid in sample_ids if sid not in by_id]
+    if unknown:
+        raise ValueError(f"{what} reference unknown sample ids: {unknown[:10]}")
+    return by_id
 
 
 def _response_texts(responses) -> list[tuple[str, str]]:
@@ -264,11 +254,8 @@ def grade_responses(
     The text may be under ``raw_text`` instead of ``response``.  A response
     without either, a repeated sample id or an unknown one is a ValueError.
     """
-    by_id = index_manifest(manifest_rows)
     texts = _response_texts(responses)
-    unknown = [sid for sid, _ in texts if sid not in by_id]
-    if unknown:
-        raise ValueError(f"responses reference unknown sample ids: {unknown[:10]}")
+    by_id = index_manifest(manifest_rows, (sid for sid, _ in texts), "responses")
     records = []
     for sid, text in texts:
         row = by_id[sid]
@@ -320,10 +307,7 @@ def aggregate(records, manifest_rows) -> AccuracyTable:
     Each axis marginalizes over the other (a text format's cell averages all
     its graded samples across the five visual formats, and vice versa).
     """
-    by_id = index_manifest(manifest_rows)
-    unknown = [r.sample_id for r in records if r.sample_id not in by_id]
-    if unknown:
-        raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
+    by_id = index_manifest(manifest_rows, (r.sample_id for r in records), "records")
     task_hits: dict[str, list[int]] = {t: [] for t in TASKS}
     text_hits: dict[str, list[int]] = {t: [] for t in TEXT_FORMATS}
     visual_hits: dict[str, list[int]] = {v: [] for v in VISUAL_FORMATS}
@@ -368,10 +352,7 @@ def build_prm(records, manifest_rows) -> list[PRMPair]:
     Metas lacking graded records for any of the 35 combos are skipped with a
     warning.  The router input is the HO-Neigh prompt (rendering + question).
     """
-    by_id = index_manifest(manifest_rows)
-    unknown = [r.sample_id for r in records if r.sample_id not in by_id]
-    if unknown:
-        raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
+    by_id = index_manifest(manifest_rows, (r.sample_id for r in records), "records")
     meta_order: list[str] = []
     combo_hits: dict[str, dict[tuple[str, str], list[int]]] = {}
     prompts: dict[str, str] = {}
@@ -424,7 +405,7 @@ def canonical_answer_text(row: dict) -> str:
         return "Ans: {" + ",".join(f"v{v}" for v in value) + "}"
     if kind == "yes_no":
         return "Ans: Yes" if value else "Ans: No"
-    if kind in ("coloring", "cycle", "path"):
+    if kind in CERTIFICATE_KINDS:
         return f"Ans: {value}"
     raise ValueError(f"unknown answer kind {kind!r}")
 
@@ -478,52 +459,34 @@ def corrupted_answer_text(row: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def read_responses(path) -> list[dict]:
-    """The records of a JSONL file; ValueError naming the first malformed line."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    rows.append(json.loads(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
-    return rows
-
-
 def write_grades(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "sample_id": rec.sample_id,
-                        "correct": rec.correct,
-                        "flags": list(rec.flags),
-                        "parsed_kind": rec.parsed.kind,
-                        "parsed_value": _jsonable(rec.parsed.value),
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(
+        path,
+        (
+            {
+                "sample_id": rec.sample_id,
+                "correct": rec.correct,
+                "flags": list(rec.flags),
+                "parsed_kind": rec.parsed.kind,
+                "parsed_value": _jsonable(rec.parsed.value),
+            }
+            for rec in records
+        ),
+    )
 
 
 def write_prm(pairs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "meta_id": pair.meta_id,
-                        "input_text": pair.input_text,
-                        "label_combo": pair.label_combo,
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(
+        path,
+        (
+            {
+                "meta_id": pair.meta_id,
+                "input_text": pair.input_text,
+                "label_combo": pair.label_combo,
+            }
+            for pair in pairs
+        ),
+    )
 
 
 def _jsonable(value):

@@ -32,18 +32,6 @@ class PathResult:
     witness: tuple[int, ...] | None = None
 
 
-def solve_vc(h: Hypergraph) -> int:
-    return h.num_vertices
-
-
-def solve_hec(h: Hypergraph) -> int:
-    return h.num_edges
-
-
-def solve_ne(h: Hypergraph, u: int) -> tuple[int, ...]:
-    return h.neighbors(u)
-
-
 def solve_dvc(h: Hypergraph, d: int) -> int:
     """Number of vertices of degree exactly ``d``."""
     if d < 0:
@@ -56,11 +44,6 @@ def solve_oec(h: Hypergraph, k: int) -> int:
     if k < 2:
         raise ValueError(f"order must be >= 2, got {k}")
     return sum(1 for e in h.edges if len(e) == k)
-
-
-def solve_one(h: Hypergraph, u: int, k: int) -> tuple[int, ...]:
-    """Neighbors of ``u`` through hyperedges of order >= ``k``."""
-    return h.neighbors_filtered(u, k)
 
 
 def _edge_adjacency(h: Hypergraph) -> list[tuple[int, ...]]:

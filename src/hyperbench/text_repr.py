@@ -53,8 +53,8 @@ def _header(h: Hypergraph, name: str, style: str) -> str:
     return f"{name} describes a hypergraph among vertices {vs} and hyperedges {es}."
 
 
-def _vertex_list_phrase(ids, singular: str, plural: str) -> str:
-    names = [vname(i) for i in ids]
+def _list_phrase(ids, label=vname, singular: str = "vertex", plural: str = "vertices") -> str:
+    names = [label(i) for i in ids]
     if not names:
         return f"no {plural}"
     noun = singular if len(names) == 1 else plural
@@ -69,7 +69,7 @@ def _matrix_str(rows) -> str:
 def _render_lo_inc(h: Hypergraph, name: str) -> str:
     lines = [_header(h, name, "plain"), "In this hypergraph:"]
     for v in range(h.n):
-        phrase = _vertex_list_phrase(h.neighbors(v), "vertex", "vertices")
+        phrase = _list_phrase(h.neighbors(v))
         lines.append(f"Vertex {vname(v)} is connected to {phrase}.")
     return "\n".join(lines)
 
@@ -103,16 +103,10 @@ def _render_adj_mat(h: Hypergraph, name: str) -> str:
 def _render_ho_neigh(h: Hypergraph, name: str) -> str:
     lines = [_header(h, name, "plain"), "In this hypergraph:"]
     for v in range(h.n):
-        inc = h.incident_edges(v)
-        names = [ename(j) for j in inc]
-        if not names:
-            phrase = "no hyperedges"
-        else:
-            noun = "hyperedge" if len(names) == 1 else "hyperedges"
-            phrase = f"{noun} {english_join(names, oxford=False)}"
+        phrase = _list_phrase(h.incident_edges(v), ename, "hyperedge", "hyperedges")
         lines.append(f"Vertex {vname(v)} is connected to {phrase}.")
     for j, members in enumerate(h.edges):
-        phrase = _vertex_list_phrase(members, "vertex", "vertices")
+        phrase = _list_phrase(members)
         lines.append(f"Hyperedge {ename(j)} is connected to {phrase}.")
     return "\n".join(lines)
 
@@ -123,7 +117,7 @@ def _render_ho_inc(h: Hypergraph, name: str) -> str:
         clauses = []
         for j in h.incident_edges(v):
             others = [u for u in h.edges[j] if u != v]
-            clauses.append(f"to {_vertex_list_phrase(others, 'vertex', 'vertices')} with hyperedge {ename(j)}")
+            clauses.append(f"to {_list_phrase(others)} with hyperedge {ename(j)}")
         if clauses:
             lines.append(f"Vertex {vname(v)} is connected " + ", ".join(clauses) + ".")
         else:

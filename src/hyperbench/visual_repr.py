@@ -303,20 +303,23 @@ def _scene_enc_hy(h: Hypergraph, seed: int, box, cfg) -> list[str]:
     return parts
 
 
-def _scene_bi_inc(h: Hypergraph, seed: int, box, cfg) -> list[str]:
-    x0, y0, w, hh = box
-    top, bottom = layout_rows(h.n, h.num_edges, w, hh)
-    top = top + np.array([x0, y0])
-    bottom = bottom + np.array([x0, y0])
+def _incidence_parts(h: Hypergraph, vpos, epos, cfg) -> list[str]:
+    """Membership lines, then vertex disks at ``vpos``, then hyperedge squares at ``epos``."""
     parts: list[str] = []
     for j, members in enumerate(h.edges):
         for v in members:
-            parts.append(_membership_line(top[v], bottom[j], edge_color(j, cfg)))
+            parts.append(_membership_line(vpos[v], epos[j], edge_color(j, cfg)))
     for v in range(h.n):
-        parts.extend(_vertex_node(top[v][0], top[v][1], v, cfg))
+        parts.extend(_vertex_node(vpos[v][0], vpos[v][1], v, cfg))
     for j in range(h.num_edges):
-        parts.extend(_edge_square(bottom[j][0], bottom[j][1], j, cfg))
+        parts.extend(_edge_square(epos[j][0], epos[j][1], j, cfg))
     return parts
+
+
+def _scene_bi_inc(h: Hypergraph, seed: int, box, cfg) -> list[str]:
+    x0, y0, w, hh = box
+    top, bottom = layout_rows(h.n, h.num_edges, w, hh)
+    return _incidence_parts(h, top + np.array([x0, y0]), bottom + np.array([x0, y0]), cfg)
 
 
 def _scene_shell(h: Hypergraph, seed: int, box, cfg, vertices_inner: bool, inner_ratio: float) -> list[str]:
@@ -329,15 +332,7 @@ def _scene_shell(h: Hypergraph, seed: int, box, cfg, vertices_inner: bool, inner
     else:
         vpos = ring_positions(h.n, radius) + center
         epos = ring_positions(h.num_edges, radius * inner_ratio) + center
-    parts: list[str] = []
-    for j, members in enumerate(h.edges):
-        for v in members:
-            parts.append(_membership_line(vpos[v], epos[j], edge_color(j, cfg)))
-    for v in range(h.n):
-        parts.extend(_vertex_node(vpos[v][0], vpos[v][1], v, cfg))
-    for j in range(h.num_edges):
-        parts.extend(_edge_square(epos[j][0], epos[j][1], j, cfg))
-    return parts
+    return _incidence_parts(h, vpos, epos, cfg)
 
 
 def _scene_cli_exp(h: Hypergraph, seed: int, box, cfg) -> list[str]:

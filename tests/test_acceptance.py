@@ -31,7 +31,6 @@ from hyperbench import (
     gen_random_connected,
     gen_shc_instance,
     grade_responses,
-    load_manifest,
     make_meta,
     oracle_ism,
     oracle_omf,
@@ -40,6 +39,7 @@ from hyperbench import (
     parse_incmat,
     parse_nset,
     prompt_for,
+    read_jsonl as load_manifest,
     render_text,
     solve_ism,
     solve_omf,

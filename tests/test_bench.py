@@ -11,13 +11,13 @@ from hyperbench import (
     TEXT_FORMATS,
     VISUAL_FORMATS,
     emit_corpus,
-    load_manifest,
     make_meta,
     prompt_for,
     question_sentence,
+    read_jsonl,
 )
 from hyperbench.bench import (
-    TASK_LEVELS,
+    TASK_SPECS,
     answer_spec_row,
     plan_assignments,
     plan_mix,
@@ -32,7 +32,7 @@ def test_task_tables():
     assert len(TEXT_FORMATS) == 7
     assert len(VISUAL_FORMATS) == 5
     assert len(ALL_COMBOS) == 35
-    assert sorted(TASK_LEVELS.values()) == sorted([1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4])
+    assert sorted(spec.level for spec in TASK_SPECS.values()) == sorted([1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4])
 
 
 def test_make_meta_deterministic():
@@ -169,7 +169,7 @@ def test_emit_corpus_tiny(tmp_path):
     summary = emit_corpus(per_task=1, master_seed=3, outdir=tmp_path)
     assert summary["metas"] == 12
     assert summary["samples"] == 12 * 35
-    rows = load_manifest(tmp_path / "manifest.jsonl")
+    rows = read_jsonl(tmp_path / "manifest.jsonl")
     assert len(rows) == 420
     tasks = collections.Counter(r["task"] for r in rows)
     assert all(tasks[t] == 35 for t in TASKS)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hyperbench import canonical_answer_text, load_manifest, make_meta, save_json
+from hyperbench import canonical_answer_text, make_meta, read_jsonl, save_json
 from hyperbench.bench import sample_rows
 from hyperbench.cli import main
 
@@ -66,6 +66,13 @@ def test_render_missing_graph(tmp_path):
     assert main(["render", "--graph", str(tmp_path / "nope.json"), "--format", "N-Set"]) == 2
 
 
+def test_graph_with_out_of_range_vertex_is_usage_error(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n": 3, "edges": [[0, 5]]}', encoding="utf-8")
+    assert main(["solve", "--task", "vc", "--graph", str(graph)]) == 2
+    assert "bad graph file" in capsys.readouterr().err
+
+
 def test_solve(hstar_file, capsys):
     assert main(["solve", "--task", "osp", "--graph", str(hstar_file), "--s", "0", "--t", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -76,6 +83,41 @@ def test_solve(hstar_file, capsys):
 
 def test_solve_requires_params(hstar_file):
     assert main(["solve", "--task", "osp", "--graph", str(hstar_file)]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["--task", "ne", "--v", "99"], "vertex id 99 outside 0..4", id="ne-vertex"),
+        pytest.param(["--task", "osp", "--s", "0", "--t", "0"], "source and target must differ", id="osp-endpoints"),
+        pytest.param(["--task", "dvc", "--d", "-1"], "degree must be non-negative, got -1", id="dvc-degree"),
+    ],
+)
+def test_solve_rejected_params_are_usage_errors(hstar_file, capsys, args, message):
+    assert main(["solve", "--graph", str(hstar_file), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cmd", ["emit", "generate"])
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        pytest.param("nope.json", None, "pool file not found", id="missing"),
+        pytest.param("pool.json", '{"n": 3, "edges": ', "bad pool file", id="malformed-json"),
+        pytest.param("pool.hgr", "1 3 1\n2 1 3\n", "fmt", id="weighted-hmetis"),
+    ],
+)
+def test_bad_pool_file_is_usage_error(tmp_path, capsys, cmd, name, text, message):
+    pool = tmp_path / name
+    if text is not None:
+        pool.write_text(text, encoding="utf-8")
+    args = ["--per-task", "1", "--dry-run"] if cmd == "emit" else ["--source", "real"]
+    assert main([cmd, "--seed", "1", "--pool", str(pool), "--out", str(tmp_path / "out"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_exit_codes(hstar_file, capsys):
@@ -98,7 +140,7 @@ def test_emit_grade_prm_pipeline(tmp_path, capsys):
     assert main(["emit", "--seed", "9", "--per-task", "1", "--out", str(corpus), "--dry-run"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["samples"] == 420
-    rows = load_manifest(corpus / "manifest.jsonl")
+    rows = read_jsonl(corpus / "manifest.jsonl")
     responses = tmp_path / "resp.jsonl"
     with open(responses, "w", encoding="utf-8") as fh:
         for row in rows:

@@ -5,7 +5,6 @@ import pytest
 
 from hyperbench import (
     Hypergraph,
-    degree_profile,
     dumps,
     from_json_dict,
     load_json,
@@ -91,10 +90,10 @@ def test_connectivity(hstar):
 
 
 def test_degree_profile(hstar):
-    prof = degree_profile(hstar)
-    assert prof.degrees == (1, 2, 3, 2, 1)
-    assert prof.orders == (3, 3, 3)
-    assert prof.degree_total == prof.order_total == 9  # handshake
+    degrees, orders = hstar.degree_sequence(), hstar.order_sequence()
+    assert degrees == (1, 2, 3, 2, 1)
+    assert orders == (3, 3, 3)
+    assert sum(degrees) == sum(orders) == 9  # handshake
 
 
 def test_json_round_trip(hstar, tmp_path):
@@ -121,3 +120,10 @@ def test_parse_hmetis_rejects_bad_counts():
         parse_hmetis("2 4\n1 2\n")  # promised 2 edges, got 1
     with pytest.raises(ValueError):
         parse_hmetis("1 3\n1 4\n")  # vertex 4 out of range
+
+
+def test_parse_hmetis_rejects_weighted_fmt():
+    # fmt 1: each edge line starts with its weight, which must not be read as a vertex
+    with pytest.raises(ValueError, match="fmt"):
+        parse_hmetis("2 3 1\n2 1 3\n1 2 3\n")
+    assert parse_hmetis("1 3 0\n1 2 3\n").edges == ((0, 1, 2),)

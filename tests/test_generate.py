@@ -25,7 +25,6 @@ from hyperbench.generate import (
     MAX_ORDER,
     SCALE_RANGES,
     SourcePool,
-    reindex_canonical,
     relabel,
 )
 
@@ -127,16 +126,6 @@ def test_relabel_preserves_structure(hstar):
     assert out.n == hstar.n
     assert sorted(out.degree_sequence()) == sorted(hstar.degree_sequence())
     assert solve_ism(hstar, out)
-
-
-def test_reindex_canonical():
-    from hyperbench import Hypergraph
-
-    h = Hypergraph(3, [(2, 1), (0, 2)])
-    out = reindex_canonical(h, [2, 0, 1])  # old 2 becomes 0, old 0 becomes 1
-    assert out.edges == ((0, 1), (0, 2))  # renumbered then sorted lexicographically
-    with pytest.raises(ValueError):
-        reindex_canonical(h, [0, 1])  # not a permutation of all vertices
 
 
 def test_demo_pool_properties():

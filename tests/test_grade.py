@@ -13,13 +13,13 @@ from hyperbench import (
     emit_corpus,
     grade_responses,
     judge,
-    load_manifest,
     parse_answer,
+    read_jsonl,
     to_json_dict,
     write_grades,
     write_prm,
 )
-from hyperbench.grade import GradeRecord, ParsedAnswer, read_responses
+from hyperbench.grade import GradeRecord, ParsedAnswer
 
 STRICT = GradeOptions(lenient=False)
 
@@ -194,7 +194,7 @@ def test_grade_responses_round_trip(tmp_path):
     rows = [_row("VC", "count", 3)]
     resp_path = tmp_path / "r.jsonl"
     resp_path.write_text(json.dumps({"sample_id": rows[0]["sample_id"], "raw_text": "Ans: 3"}) + "\n")
-    records = grade_responses(rows, read_responses(resp_path))
+    records = grade_responses(rows, read_jsonl(resp_path))
     assert len(records) == 1 and records[0].correct
     out = tmp_path / "g.jsonl"
     write_grades(records, out)
@@ -333,7 +333,7 @@ def test_write_prm(tmp_path):
 
 def test_canonical_and_corrupted_self_consistency(tmp_path):
     emit_corpus(per_task=1, master_seed=21, outdir=tmp_path, write_images=False)
-    rows = load_manifest(tmp_path / "manifest.jsonl")
+    rows = read_jsonl(tmp_path / "manifest.jsonl")
     good = [{"sample_id": r["sample_id"], "raw_text": canonical_answer_text(r)} for r in rows]
     bad = [{"sample_id": r["sample_id"], "raw_text": corrupted_answer_text(r)} for r in rows]
     good_records = grade_responses(rows, good)

@@ -9,14 +9,10 @@ from hyperbench import (
     oracle_omf,
     oracle_osp,
     solve_dvc,
-    solve_hec,
     solve_ism,
-    solve_ne,
     solve_oec,
     solve_omf,
-    solve_one,
     solve_osp,
-    solve_vc,
 )
 from hyperbench.generate import relabel
 
@@ -24,8 +20,8 @@ from conftest import random_hypergraph
 
 
 def test_counting_tasks(hstar):
-    assert solve_vc(hstar) == 5
-    assert solve_hec(hstar) == 3
+    assert hstar.num_vertices == 5
+    assert hstar.num_edges == 3
     assert solve_dvc(hstar, 2) == 2  # v1 and v3
     assert solve_dvc(hstar, 1) == 2
     assert solve_dvc(hstar, 0) == 0
@@ -38,9 +34,9 @@ def test_counting_tasks(hstar):
 
 
 def test_neighbor_tasks(hstar):
-    assert solve_ne(hstar, 2) == (0, 1, 3, 4)
-    assert solve_one(hstar, 0, 3) == (1, 2)
-    assert solve_one(hstar, 0, 4) == ()
+    assert hstar.neighbors(2) == (0, 1, 3, 4)
+    assert hstar.neighbors_filtered(0, 3) == (1, 2)
+    assert hstar.neighbors_filtered(0, 4) == ()
 
 
 def test_osp_reference(hstar):
