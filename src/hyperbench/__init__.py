@@ -4,164 +4,41 @@ Generate hypergraphs with exact ground truth for twelve comprehension and
 reasoning tasks, render each instance in seven textual and five visual
 (SVG) representations, emit the cross-product QA corpus, grade model
 responses, and build the best-representation routing dataset.
+
+The package exports the entry points the README documents; everything else
+is imported from its submodule (``hyperbench.generate``, ``hyperbench.grade``,
+...).
 """
 
-from .bench import (
-    ALL_COMBOS,
-    REASONING_TASKS,
-    TASKS,
-    UNDERSTANDING_TASKS,
-    MetaProblem,
-    emit_corpus,
-    make_meta,
-    prompt_for,
-    question_sentence,
-)
-from .core import (
-    Hypergraph,
-    dumps,
-    from_json_dict,
-    load_hmetis,
-    load_json,
-    loads,
-    parse_hmetis,
-    read_jsonl,
-    save_json,
-    to_json_dict,
-)
-from .generate import (
-    GenerationError,
-    GenSpec,
-    SourcePool,
-    classify_scale,
-    demo_pool,
-    derive_seed,
-    edge_count_bounds,
-    gen_3cl_instance,
-    gen_hhm_instance,
-    gen_ism_pair,
-    gen_random_connected,
-    gen_shc_instance,
-    load_pool,
-    subsample_real,
-)
-from .grade import (
-    AccuracyTable,
-    GradeOptions,
-    GradeRecord,
-    ParsedAnswer,
-    PRMPair,
-    aggregate,
-    build_prm,
-    canonical_answer_text,
-    corrupted_answer_text,
-    grade_responses,
-    judge,
-    parse_answer,
-    write_grades,
-    write_prm,
-)
-from .solve import (
-    PathResult,
-    oracle_ism,
-    oracle_omf,
-    oracle_osp,
-    solve_dvc,
-    solve_ism,
-    solve_oec,
-    solve_omf,
-    solve_osp,
-)
-from .text_repr import TEXT_FORMATS, ParseError, parse_honeigh, parse_incmat, parse_nset, render_text
-from .verify import (
-    find_3cl,
-    find_hhm,
-    find_shc,
-    format_coloring,
-    format_cycle,
-    format_path,
-    verify_3cl,
-    verify_hhm,
-    verify_shc,
-)
-from .visual_repr import VISUAL_FORMATS, RenderConfig, render_svg, render_svg_pair
+from .bench import emit_corpus, make_meta
+from .core import Hypergraph, load_hmetis, load_json, read_jsonl, save_json
+from .grade import aggregate, build_prm, grade_responses
+from .solve import solve_ism, solve_omf, solve_osp
+from .text_repr import parse_honeigh, parse_incmat, parse_nset, render_text
+from .verify import find_hhm, verify_shc
+from .visual_repr import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_COMBOS",
-    "AccuracyTable",
-    "GenSpec",
-    "GenerationError",
-    "GradeOptions",
-    "GradeRecord",
     "Hypergraph",
-    "MetaProblem",
-    "PRMPair",
-    "ParseError",
-    "ParsedAnswer",
-    "PathResult",
-    "REASONING_TASKS",
-    "RenderConfig",
-    "SourcePool",
-    "TASKS",
-    "TEXT_FORMATS",
-    "UNDERSTANDING_TASKS",
-    "VISUAL_FORMATS",
+    "make_meta",
+    "emit_corpus",
+    "render_text",
+    "render_svg",
+    "solve_osp",
+    "solve_omf",
+    "solve_ism",
+    "verify_shc",
+    "find_hhm",
+    "grade_responses",
     "aggregate",
     "build_prm",
-    "canonical_answer_text",
-    "classify_scale",
-    "corrupted_answer_text",
-    "demo_pool",
-    "derive_seed",
-    "dumps",
-    "edge_count_bounds",
-    "emit_corpus",
-    "find_3cl",
-    "find_hhm",
-    "find_shc",
-    "format_coloring",
-    "format_cycle",
-    "format_path",
-    "from_json_dict",
-    "gen_3cl_instance",
-    "gen_hhm_instance",
-    "gen_ism_pair",
-    "gen_random_connected",
-    "gen_shc_instance",
-    "grade_responses",
-    "judge",
-    "load_hmetis",
-    "load_json",
-    "load_pool",
-    "loads",
-    "make_meta",
-    "oracle_ism",
-    "oracle_omf",
-    "oracle_osp",
-    "parse_answer",
-    "parse_hmetis",
-    "parse_honeigh",
-    "parse_incmat",
-    "parse_nset",
-    "prompt_for",
-    "question_sentence",
-    "read_jsonl",
-    "render_svg",
-    "render_svg_pair",
-    "render_text",
     "save_json",
-    "solve_dvc",
-    "solve_ism",
-    "solve_oec",
-    "solve_omf",
-    "solve_osp",
-    "subsample_real",
-    "to_json_dict",
-    "verify_3cl",
-    "verify_hhm",
-    "verify_shc",
-    "write_grades",
-    "write_prm",
+    "load_json",
+    "load_hmetis",
+    "read_jsonl",
+    "parse_nset",
+    "parse_incmat",
+    "parse_honeigh",
 ]

@@ -47,7 +47,9 @@ ALL_COMBOS = tuple((t, v) for t in TEXT_FORMATS for v in VISUAL_FORMATS)
 class TaskSpec:
     """Everything that differs between tasks, defined once per task.
 
-    ``question`` is a ``str.format`` template over the task's parameters.
+    ``question`` is a ``str.format`` template over the task's parameters
+    and ``none``, the reply that states there is no answer (no neighbors,
+    no path), which the question quotes and the canonical reply uses.
     ``params`` names them in the order the CLI asks for them; ``draw`` picks
     them from a generated instance.  ``solve(h, params, h_b)`` gives the exact
     answer fields (``{"value": ...}``).  ``build(spec, pool)`` replaces random
@@ -65,6 +67,7 @@ class TaskSpec:
     draw: Callable | None = None
     build: Callable | None = None
     pair: bool = False  # two hypergraphs, H and G
+    none: str | None = None
 
 
 def _draw_s_t(h: Hypergraph, rng: random.Random) -> dict:
@@ -136,10 +139,11 @@ TASK_TABLE = (
         "Ne", 1, "vertex_set",
         "Q: What are the direct neighbors of vertex v{u} in hypergraph G? "
         "(Neighbors = vertices sharing at least one hyperedge with v{u}). "
-        'List the answer after "Ans:" in the format {{v1,v2,...}} or "No neighbors".',
+        'List the answer after "Ans:" in the format {{v1,v2,...}} or "{none}".',
         solve=lambda h, p, _: {"value": list(h.neighbors(p["u"]))},
         params=("u",),
         draw=lambda h, rng: {"u": rng.randrange(h.n)},
+        none="No neighbors",
     ),
     TaskSpec(
         "DVC", 2, "count",
@@ -163,19 +167,21 @@ TASK_TABLE = (
         "ONe", 2, "vertex_set",
         "Q: What are the neighbors of vertex v{u} when only considering "
         "hyperedges with order >= {k} in hypergraph G? "
-        'List the answer after "Ans:" in the format {{v1,v2,...}} or "No n-neighbors".',
+        'List the answer after "Ans:" in the format {{v1,v2,...}} or "{none}".',
         solve=lambda h, p, _: {"value": list(h.neighbors_filtered(p["u"], p["k"]))},
         params=("u", "k"),
         draw=lambda h, rng: {"u": rng.randrange(h.n), "k": rng.choice(sorted(set(h.order_sequence())))},
+        none="No n-neighbors",
     ),
     TaskSpec(
         "OSP", 3, "path_weight",
         "Q: What is the shortest path length from vertex v{s} to vertex v{t} "
         "in hypergraph G, where each hyperedge's weight equals its order (number of "
-        'vertices)? If no path exists, answer "No path". List the answer after "Ans:".',
+        'vertices)? If no path exists, answer "{none}". List the answer after "Ans:".',
         solve=_solve_osp,
         params=("s", "t"),
         draw=_draw_s_t,
+        none="No path",
     ),
     TaskSpec(
         "OMF", 3, "flow",
@@ -301,7 +307,8 @@ def make_meta(
 
 def question_sentence(meta: MetaProblem) -> str:
     """The task question with parameters substituted (no graph rendering)."""
-    return task_spec(meta.task).question.format(**meta.params)
+    spec = task_spec(meta.task)
+    return spec.question.format(none=spec.none, **meta.params)
 
 
 def prompt_for(meta: MetaProblem, text_fmt: str) -> str:

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import generate as gen
-from .bench import TASK_TABLE, emit_corpus
+from .bench import TASK_TABLE, emit_corpus, plan_assignments
 from .core import Hypergraph, load_json, read_jsonl, save_json
 from .grade import (
     CERTIFICATE_KINDS,
@@ -73,8 +73,16 @@ def _load_graph(path: str) -> Hypergraph:
     return _load("graph", load_json, path)
 
 
-def _load_pool(path: str | None) -> gen.SourcePool | None:
-    return _load("pool", gen.load_pool, path) if path else None
+def _load_pool(path: str | None, scales) -> gen.SourcePool | None:
+    """The pool file at ``path``, or None without one; a usage error if it has
+    fewer vertices than a real subsample of one of ``scales`` may draw."""
+    if not path:
+        return None
+    pool = _load("pool", gen.load_pool, path)
+    need = max((gen.SCALE_RANGES[scale][1] for scale in scales), default=0)
+    if pool.hypergraph.n < need:
+        raise UsageError(f"pool too small: {path} has {pool.hypergraph.n} vertices, this run may draw {need}")
+    return pool
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +93,7 @@ def _load_pool(path: str | None) -> gen.SourcePool | None:
 def _cmd_generate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    pool = _load_pool(args.pool)
+    pool = _load_pool(args.pool, [args.scale] if args.source == "real" else [])
     if args.source == "real" and pool is None:
         pool = gen.demo_pool()
     for i in range(args.count):
@@ -165,22 +173,32 @@ def _cmd_verify(args) -> int:
     parsed = parse_answer(spec.id, "Ans: " + args.cert)
     if parsed.failed:
         raise UsageError(f"could not parse certificate {args.cert!r}")
+    params = _task_params(args, spec)
     try:
-        valid, _ = check_certificate(spec.kind, h, parsed.value, _task_params(args, spec))
-    except ValueError as exc:  # equal path endpoints
+        for v in params.values():
+            h.check_vertex(v)  # a bad endpoint is a usage error, not an invalid path
+        valid, _ = check_certificate(spec.kind, h, parsed.value, params)
+    except (ValueError, IndexError) as exc:  # out-of-range or equal path endpoints
         raise UsageError(str(exc))
     print("VALID" if valid else "INVALID")
     return 0 if valid else 1
 
 
 def _cmd_emit(args) -> int:
+    if args.per_task < 1:
+        raise UsageError(f"--per-task must be at least 1, got {args.per_task}")
+    scale_mix, source_mix = _parse_mix(args.scale_mix, 3), _parse_mix(args.source_mix, 2)
+    real_scales = {
+        scale for _, _, scale, source in plan_assignments(args.per_task, args.seed, scale_mix, source_mix)
+        if source == "real"
+    }
     summary = emit_corpus(
         per_task=args.per_task,
         master_seed=args.seed,
         outdir=args.out,
-        pool=_load_pool(args.pool),
-        scale_mix=_parse_mix(args.scale_mix, 3),
-        source_mix=_parse_mix(args.source_mix, 2),
+        pool=_load_pool(args.pool, real_scales),
+        scale_mix=scale_mix,
+        source_mix=source_mix,
         jobs=args.jobs,
         write_images=not args.dry_run,
         log=print if args.verbose else None,
@@ -274,8 +292,7 @@ def _selfcheck_oracles(report) -> bool:
         m = rng.randint(1, 6)
         edges = []
         for _ in range(m):
-            size = rng.randint(2, min(4, n)) if n >= 2 else 2
-            edges.append(rng.sample(range(n), size))
+            edges.append(rng.sample(range(n), rng.randint(2, min(4, n))))
         h = Hypergraph(n, edges)
         for s, t in itertools.combinations(range(n), 2):
             got = solve_osp(h, s, t)

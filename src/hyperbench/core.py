@@ -86,6 +86,14 @@ class Hypergraph:
         if not (0 <= j < len(self.edges)):
             raise IndexError(f"hyperedge id {j} outside 0..{len(self.edges) - 1}")
 
+    def check_endpoints(self, s: int, t: int, what: str) -> None:
+        """IndexError if ``s`` or ``t`` is out of range, ValueError (naming the
+        pair as ``what``) if they are equal."""
+        self.check_vertex(s)
+        self.check_vertex(t)
+        if s == t:
+            raise ValueError(f"{what} must differ")
+
     def degree(self, v: int) -> int:
         """Number of hyperedges containing ``v``."""
         self.check_vertex(v)

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .core import Hypergraph, loads, parse_hmetis
+from .solve import solve_ism
 from .verify import verify_hhm, verify_shc
 
 SCALE_RANGES = {"small": (5, 10), "medium": (10, 15), "large": (15, 20)}
@@ -283,11 +284,10 @@ def gen_hhm_instance(spec: GenSpec) -> HhmInstance:
     raise GenerationError(f"Hamiltonian-path generation failed for {spec}")
 
 
-def relabel(h: Hypergraph, perm, rng: random.Random | None = None) -> Hypergraph:
-    """Map vertex v to perm[v]; optionally shuffle the hyperedge order."""
+def relabel(h: Hypergraph, perm, rng: random.Random) -> Hypergraph:
+    """Map vertex v to perm[v] and shuffle the hyperedge order."""
     edges = [tuple(sorted(perm[v] for v in e)) for e in h.edges]
-    if rng is not None:
-        rng.shuffle(edges)
+    rng.shuffle(edges)
     return Hypergraph(h.n, edges)
 
 
@@ -335,8 +335,6 @@ def gen_ism_pair(spec: GenSpec, pool: "SourcePool | None" = None) -> IsmPair:
     structural mutations until the mutant is connected and provably
     non-isomorphic, then relabel it too.
     """
-    from .solve import solve_ism
-
     rng = random.Random(derive_seed(spec.seed, "ism"))
     positive = rng.random() < 0.5
     for attempt in range(32):
@@ -393,27 +391,22 @@ def demo_pool() -> SourcePool:
     return SourcePool(Hypergraph(n, edges), "demo")
 
 
-def subsample_real(
-    pool: SourcePool,
-    spec: GenSpec,
-    require=None,
-    target: int | None = None,
-) -> Hypergraph:
+def subsample_real(pool: SourcePool, spec: GenSpec, require=None) -> Hypergraph:
     """Random-walk subsample of a pool, renumbered by visitation order.
 
-    Walks vertex -> random incident hyperedge -> random member until the
-    target vertex count is collected, then keeps each pool hyperedge's
-    restriction to the visited set when it has >= 2 vertices (dropping exact
-    duplicate restrictions), in lexicographic order.  Retries with fresh walks until connected and,
-    if given, until ``require(h)`` holds.
+    Walks vertex -> random incident hyperedge -> random member until a
+    vertex count drawn from the scale range is collected, then keeps each
+    pool hyperedge's restriction to the visited set when it has >= 2
+    vertices (dropping exact duplicate restrictions), in lexicographic order.
+    Retries with fresh walks until connected and, if given, until
+    ``require(h)`` holds.  ValueError if the pool has fewer vertices than
+    the count drawn.
     """
     big = pool.hypergraph
     lo, hi = SCALE_RANGES[spec.scale]
-    if target is not None and not (lo <= target <= hi):
-        raise ValueError(f"target {target} outside scale range {lo}..{hi}")
     for walk in range(10_000):
         rng = random.Random(derive_seed(spec.seed, "walk", walk))
-        goal = target if target is not None else rng.randint(lo, hi)
+        goal = rng.randint(lo, hi)
         if goal > big.n:
             raise ValueError(f"pool too small: {big.n} vertices < target {goal}")
         cur = rng.randrange(big.n)

@@ -1,16 +1,17 @@
 """Response parsing, judging, accuracy aggregation, and routing-label export.
 
 Parsing finds the final "Ans:" marker (configurable to the first) and reads
-the payload per task.  Lenient mode tolerates surrounding prose, missing
-braces/keywords, bare numeric ids, and casing — every tolerance applied is
-recorded as a flag on the grade record; strict mode rejects any response
-that needed one.  NP-hard answers are judged by running the verifier on the
+the payload with the parser of the task's answer kind.  Lenient mode
+tolerates surrounding prose, missing braces/keywords, bare numeric ids, and
+casing — every tolerance applied is recorded as a flag on the grade record;
+strict mode rejects any response that needed one.  NP-hard answers are judged by running the verifier on the
 submitted certificate, so any valid certificate counts, not just the stored
 one.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -18,8 +19,9 @@ from dataclasses import dataclass, field
 from .bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS, task_spec
 from .core import from_json_dict, write_jsonl
 from .text_repr import TEXT_FORMATS
-from .verify import format_coloring, verify_3cl, verify_hhm, verify_shc
+from .verify import format_coloring, format_cycle, format_path, verify_3cl, verify_hhm, verify_shc
 from .visual_repr import VISUAL_FORMATS
+
 
 @dataclass(frozen=True)
 class GradeOptions:
@@ -66,21 +68,31 @@ def _payload(raw_text: str, options: GradeOptions):
     return None, ["no_marker"]
 
 
-def _parse_count(payload: str, flags: list[str]) -> ParsedAnswer | None:
+# what a parser returns when the payload holds no answer of its kind
+_UNPARSED = object()
+
+
+def _parse_count(payload: str, flags: list[str]):
     m = re.search(r"-?\d+", payload)
     if not m:
-        return None
+        return _UNPARSED
     if payload.strip() != m.group(0):
         flags.append("prose")
-    return ParsedAnswer("count", int(m.group(0)), tuple(flags))
+    return int(m.group(0))
 
 
-def _parse_vertex_set(payload: str, flags: list[str]) -> ParsedAnswer | None:
+def _parse_path_weight(payload: str, flags: list[str]):
+    if re.search(r"no\s+path", payload, re.IGNORECASE):
+        return None
+    return _parse_count(payload, flags)
+
+
+def _parse_vertex_set(payload: str, flags: list[str]):
     if re.search(r"no\s+n?-?\s*neighbors", payload, re.IGNORECASE):
-        return ParsedAnswer("vertex_set", [], tuple(flags))
+        return []
     brace = re.search(r"\{([^{}]*)\}", payload)
     if brace and not brace.group(1).strip():
-        return ParsedAnswer("vertex_set", [], tuple(flags))
+        return []
     region = brace.group(1) if brace else payload
     if not brace:
         flags.append("no_braces")
@@ -90,21 +102,21 @@ def _parse_vertex_set(payload: str, flags: list[str]) -> ParsedAnswer | None:
         if ids:
             flags.append("bare_ids")
     if not ids:
-        return None
-    return ParsedAnswer("vertex_set", sorted({int(i) for i in ids}), tuple(flags))
+        return _UNPARSED
+    return sorted({int(i) for i in ids})
 
 
-def _parse_yes_no(payload: str, flags: list[str]) -> ParsedAnswer | None:
+def _parse_yes_no(payload: str, flags: list[str]):
     m = re.search(r"\b(yes|no)\b", payload, re.IGNORECASE)
     if not m:
-        return None
+        return _UNPARSED
     stripped = payload.strip().strip("[].").strip().lower()
     if stripped not in ("yes", "no"):
         flags.append("prose")
-    return ParsedAnswer("yes_no", m.group(1).lower() == "yes", tuple(flags))
+    return m.group(1).lower() == "yes"
 
 
-def _cert_region(payload: str, keyword: str, flags: list[str]) -> str | None:
+def _cert_region(payload: str, keyword: str, flags: list[str]) -> str:
     m = re.search(rf"{keyword}\s*:?\s*\[([^\]]*)\]", payload, re.IGNORECASE)
     if m:
         return m.group(1)
@@ -116,21 +128,21 @@ def _cert_region(payload: str, keyword: str, flags: list[str]) -> str | None:
     return payload
 
 
-def _parse_coloring(payload: str, flags: list[str]) -> ParsedAnswer | None:
+def _parse_coloring(payload: str, flags: list[str]):
     region = _cert_region(payload, "coloring", flags)
     pairs = re.findall(r"v\s*(\d+)\s*[:=]\s*c?\s*([012])\b", region, re.IGNORECASE)
     if not pairs:
-        return None
+        return _UNPARSED
     value: dict[int, int] = {}
     for v, c in pairs:
         v = int(v)
         if v in value:
             flags.append("duplicate_assignment")
         value[v] = int(c)
-    return ParsedAnswer("coloring", value, tuple(flags))
+    return value
 
 
-def _parse_edge_sequence(payload: str, kind: str, keyword: str, flags: list[str]) -> ParsedAnswer | None:
+def _parse_edge_sequence(payload: str, keyword: str, flags: list[str]):
     region = _cert_region(payload, keyword, flags)
     ids = re.findall(r"e\s*(\d+)", region, re.IGNORECASE)
     if not ids:
@@ -138,8 +150,22 @@ def _parse_edge_sequence(payload: str, kind: str, keyword: str, flags: list[str]
         if ids:
             flags.append("bare_ids")
     if not ids:
-        return None
-    return ParsedAnswer(kind, [int(i) for i in ids], tuple(flags))
+        return _UNPARSED
+    return [int(i) for i in ids]
+
+
+# answer kind -> parser(payload, flags): the value, or _UNPARSED; each
+# leniency it applies is appended to ``flags``
+_PARSERS = {
+    "count": _parse_count,
+    "flow": _parse_count,
+    "path_weight": _parse_path_weight,
+    "vertex_set": _parse_vertex_set,
+    "yes_no": _parse_yes_no,
+    "coloring": _parse_coloring,
+    "cycle": lambda payload, flags: _parse_edge_sequence(payload, "cycle", flags),
+    "path": lambda payload, flags: _parse_edge_sequence(payload, "path", flags),
+}
 
 
 def parse_answer(task: str, raw_text: str, options: GradeOptions = DEFAULT_OPTIONS) -> ParsedAnswer:
@@ -148,31 +174,12 @@ def parse_answer(task: str, raw_text: str, options: GradeOptions = DEFAULT_OPTIO
     payload, flags = _payload(raw_text, options)
     if payload is None:
         return _failure(*flags)
-    if kind == "count" or kind == "flow":
-        parsed = _parse_count(payload, flags)
-        if parsed is not None and kind == "flow":
-            parsed = ParsedAnswer("flow", parsed.value, parsed.flags)
-    elif kind == "path_weight":
-        if re.search(r"no\s+path", payload, re.IGNORECASE):
-            parsed = ParsedAnswer("path_weight", None, tuple(flags))
-        else:
-            got = _parse_count(payload, flags)
-            parsed = ParsedAnswer("path_weight", got.value, got.flags) if got else None
-    elif kind == "vertex_set":
-        parsed = _parse_vertex_set(payload, flags)
-    elif kind == "yes_no":
-        parsed = _parse_yes_no(payload, flags)
-    elif kind == "coloring":
-        parsed = _parse_coloring(payload, flags)
-    elif kind == "cycle":
-        parsed = _parse_edge_sequence(payload, "cycle", "cycle", flags)
-    else:
-        parsed = _parse_edge_sequence(payload, "path", "path", flags)
-    if parsed is None:
+    value = _PARSERS[kind](payload, flags)
+    if value is _UNPARSED:
         return _failure(*flags)
-    if not options.lenient and parsed.flags:
-        return _failure("strict_reject", *parsed.flags)
-    return parsed
+    if not options.lenient and flags:
+        return _failure("strict_reject", *flags)
+    return ParsedAnswer(kind, value, tuple(flags))
 
 
 CERTIFICATE_KINDS = ("coloring", "cycle", "path")
@@ -391,67 +398,54 @@ def build_prm(records, manifest_rows) -> list[PRMPair]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_answer_text(row: dict) -> str:
-    """Render a manifest row's ground truth as a canonical model reply."""
-    spec = row["answer_spec"]
-    kind, value = spec["kind"], spec["value"]
-    if kind == "count" or kind == "flow":
-        return f"Ans: {value}"
-    if kind == "path_weight":
-        return "Ans: No path" if value is None else f"Ans: {value}"
+def _reply(task: str, kind: str, value) -> str:
+    """``value`` written as the canonical reply to ``task``."""
+    if value is None or value == []:
+        return f"Ans: {task_spec(task).none}"
     if kind == "vertex_set":
-        if not value:
-            return "Ans: No n-neighbors" if row["task"] == "ONe" else "Ans: No neighbors"
         return "Ans: {" + ",".join(f"v{v}" for v in value) + "}"
     if kind == "yes_no":
         return "Ans: Yes" if value else "Ans: No"
-    if kind in CERTIFICATE_KINDS:
-        return f"Ans: {value}"
-    raise ValueError(f"unknown answer kind {kind!r}")
+    return f"Ans: {value}"  # counts, weights, flows and stored certificates
+
+
+def canonical_answer_text(row: dict) -> str:
+    """Render a manifest row's ground truth as a canonical model reply."""
+    spec = row["answer_spec"]
+    return _reply(row["task"], spec["kind"], spec["value"])
+
+
+def _corrupt_certificate(kind: str, h, cert) -> str:
+    if kind == "coloring":
+        vec = [cert[v] for v in range(h.n)]
+        for v, c in itertools.product(range(h.n), range(3)):
+            wrong = vec[:v] + [c] + vec[v + 1:]
+            if c != vec[v] and not verify_3cl(h, wrong):
+                return format_coloring(wrong)
+        # every single recoloring stays valid; collapse to monochrome
+        return format_coloring([0] * h.n)
+    if kind == "cycle":
+        return format_cycle([cert[1], *cert[1:]])  # a duplicate id violates strictness
+    return format_path(cert[:-1])  # one step short of covering every vertex
 
 
 def corrupted_answer_text(row: dict) -> str:
     """A reply one mutation away from the truth that must grade incorrect:
     off-by-one counts, one-vertex-wrong sets, flipped booleans, and a
-    verifier-violating edit for certificates."""
+    verifier-violating edit for certificates, which are read back through
+    their kind's parser."""
     spec = row["answer_spec"]
     kind, value = spec["kind"], spec["value"]
-    if kind in ("count", "flow"):
-        return f"Ans: {value + 1}"
-    if kind == "path_weight":
-        return "Ans: 5" if value is None else f"Ans: {value + 1}"
+    if kind in CERTIFICATE_KINDS:
+        cert = _PARSERS[kind](value, [])
+        return "Ans: " + _corrupt_certificate(kind, from_json_dict(spec["graph"]), cert)
     if kind == "vertex_set":
-        if not value:
-            return "Ans: {v0}"
-        return "Ans: {" + ",".join(f"v{v}" for v in value[1:]) + "}" if len(value) > 1 else "Ans: No neighbors"
-    if kind == "yes_no":
-        return "Ans: No" if value else "Ans: Yes"
-    if kind == "coloring":
-        h = from_json_dict(spec["graph"])
-        pairs = re.findall(r"v(\d+):c([012])", value)
-        vec = [0] * h.n
-        for v, c in pairs:
-            vec[int(v)] = int(c)
-        for v in range(h.n):
-            original = vec[v]
-            for c in range(3):
-                if c == original:
-                    continue
-                vec[v] = c
-                if not verify_3cl(h, vec):
-                    return f"Ans: {format_coloring(vec)}"
-            vec[v] = original
-        # every single recoloring stays valid; collapse to monochrome
-        return f"Ans: {format_coloring([0] * h.n)}"
-    if kind == "cycle":
-        ids = [int(i) for i in re.findall(r"e(\d+)", value)]
-        ids[0] = ids[1]  # duplicate id violates strictness
-        return "Ans: Cycle:[" + ", ".join(f"e{j}" for j in ids) + "]"
-    if kind == "path":
-        ids = [int(i) for i in re.findall(r"e(\d+)", value)]
-        ids = ids[:-1]  # one step short of covering every vertex
-        return "Ans: Path:[" + ", ".join(f"e{j}" for j in ids) + "]"
-    raise ValueError(f"unknown answer kind {kind!r}")
+        wrong = value[1:] if value else [0]
+    elif kind == "yes_no":
+        wrong = not value
+    else:  # counts, flows and weights; an unreachable pair gets a weight
+        wrong = 5 if value is None else value + 1
+    return _reply(row["task"], kind, wrong)
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,7 @@ def solve_osp(h: Hypergraph, s: int, t: int) -> PathResult:
     smallest hyperedge-id sequence; the heap is keyed on (weight, sequence),
     which settles every edge with its best such pair first.
     """
-    h.check_vertex(s)
-    h.check_vertex(t)
-    if s == t:
-        raise ValueError("source and target must differ")
+    h.check_endpoints(s, t, "source and target")
     adj = _edge_adjacency(h)
     heap: list[tuple[int, tuple[int, ...]]] = []
     for j in h.incident_edges(s):
@@ -108,10 +105,7 @@ def _flow_network(h: Hypergraph):
 
 def solve_omf(h: Hypergraph, s: int, t: int) -> int:
     """Edmonds-Karp max flow on the incidence network (BFS augmenting paths)."""
-    h.check_vertex(s)
-    h.check_vertex(t)
-    if s == t:
-        raise ValueError("source and target must differ")
+    h.check_endpoints(s, t, "source and target")
     cap, nbrs = _flow_network(h)
     flow = 0
     while True:
@@ -229,10 +223,7 @@ def oracle_osp(h: Hypergraph, s: int, t: int) -> PathResult:
     smallest id sequence, mirroring the solver's tie-break.
     """
     _check_oracle_size(h)
-    h.check_vertex(s)
-    h.check_vertex(t)
-    if s == t:
-        raise ValueError("source and target must differ")
+    h.check_endpoints(s, t, "source and target")
     adj = _edge_adjacency(h)
     best: list = [None, None]  # [weight, witness]
 
@@ -259,10 +250,7 @@ def oracle_osp(h: Hypergraph, s: int, t: int) -> PathResult:
 def oracle_omf(h: Hypergraph, s: int, t: int) -> int:
     """Minimum s-t cut by enumerating all node subsets (max-flow = min-cut)."""
     _check_oracle_size(h)
-    h.check_vertex(s)
-    h.check_vertex(t)
-    if s == t:
-        raise ValueError("source and target must differ")
+    h.check_endpoints(s, t, "source and target")
     size = h.n + h.num_edges
     cap = np.zeros((size, size), dtype=np.int64)
     for j, members in enumerate(h.edges):

@@ -23,7 +23,7 @@ TEXT_FORMATS = ("LO-Inc", "N-Pair", "Adj-Mat", "HO-Neigh", "HO-Inc", "N-Set", "I
 class ParseError(ValueError):
     """Malformed serialized hypergraph text; carries the byte offset."""
 
-    def __init__(self, message: str, position: int = 0):
+    def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
 

@@ -67,10 +67,7 @@ def verify_hhm(h: Hypergraph, seq, s: int, t: int) -> bool:
     step index is the set's size), so the search visits at most n * 2^n
     states whatever the sequence.
     """
-    h.check_vertex(s)
-    h.check_vertex(t)
-    if s == t:
-        raise ValueError("path endpoints must differ")
+    h.check_endpoints(s, t, "path endpoints")
     ids = list(seq)
     for j in ids:
         h.check_edge(j)
@@ -191,10 +188,7 @@ def find_hhm(h: Hypergraph, s: int, t: int):
     state can still reach t depends on nothing else, so failed states are
     memoized and never searched twice: at most n * 2^n states, not n!.
     """
-    h.check_vertex(s)
-    h.check_vertex(t)
-    if s == t:
-        raise ValueError("path endpoints must differ")
+    h.check_endpoints(s, t, "path endpoints")
     n = h.n
     nbr, pair_edge = _pair_adjacency(h)
     moves = [

@@ -13,7 +13,6 @@ All geometry is seeded and every float is emitted as "%.2f", so a given
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,23 +29,17 @@ PALETTE = (
 VERTEX_FILL = "#1a1a1a"
 SEGMENT_STROKE = "#555555"
 
-
-@dataclass(frozen=True)
-class RenderConfig:
-    width: float = 1400.0
-    height: float = 1100.0
-    margin: float = 90.0
-    vertex_radius: float = 20.0
-    square_half: float = 18.0
-    font_size: float = 14.0
-    palette: tuple = field(default=PALETTE)
+# canvas and glyph sizes, in SVG user units
+WIDTH = 1400.0
+HEIGHT = 1100.0
+MARGIN = 90.0
+VERTEX_RADIUS = 20.0
+SQUARE_HALF = 18.0
+FONT_SIZE = 14.0
 
 
-DEFAULT_CONFIG = RenderConfig()
-
-
-def edge_color(j: int, cfg: RenderConfig = DEFAULT_CONFIG) -> str:
-    return cfg.palette[j % len(cfg.palette)]
+def edge_color(j: int) -> str:
+    return PALETTE[j % len(PALETTE)]
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +114,11 @@ def layout_stress(num_nodes: int, links, seed: int = 0) -> np.ndarray:
     return pos
 
 
-def layout_spring(
-    num_nodes: int,
-    links,
-    k: float = 2.0,
-    iterations: int = 100,
-    scale: float = 3.0,
-    seed: int = 0,
-) -> np.ndarray:
-    """Fruchterman-Reingold: repulsion k^2/d between all pairs, attraction
-    d^2/k along links, linear cooling; final extent rescaled to ``scale``."""
+def layout_spring(num_nodes: int, links, seed: int = 0) -> np.ndarray:
+    """Fruchterman-Reingold with k = 2: repulsion k^2/d between all pairs,
+    attraction d^2/k along links, 100 steps of linear cooling; final extent
+    rescaled to 3."""
+    k, iterations, scale = 2.0, 100, 3.0
     rng = np.random.default_rng(seed & 0xFFFFFFFF)
     pos = rng.uniform(0.0, 1.0, (num_nodes, 2))
     if num_nodes == 1:
@@ -162,11 +150,6 @@ def ring_positions(count: int, radius: float) -> np.ndarray:
     """``count`` points evenly on a circle, first at angle 0, id order CCW."""
     angles = 2.0 * np.pi * np.arange(count) / max(count, 1)
     return np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
-
-
-def layout_shell(num_inner: int, num_outer: int, radius: float = 1.0):
-    """Two concentric circles with radius ratio 0.5 (inner = half the outer)."""
-    return ring_positions(num_inner, radius * 0.5), ring_positions(num_outer, radius)
 
 
 def layout_rows(num_top: int, num_bottom: int, width: float, height: float):
@@ -214,13 +197,13 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _fit_to_box(pos: np.ndarray, box: tuple[float, float, float, float], margin: float) -> np.ndarray:
+def _fit_to_box(pos: np.ndarray, box: tuple[float, float, float, float]) -> np.ndarray:
     """Scale/translate abstract coordinates into a canvas box, keeping aspect."""
     x0, y0, w, h = box
     lo = pos.min(axis=0)
     hi = pos.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    scale = min((w - 2 * margin) / span[0], (h - 2 * margin) / span[1])
+    scale = min((w - 2 * MARGIN) / span[0], (h - 2 * MARGIN) / span[1])
     center = (lo + hi) / 2.0
     out = (pos - center) * scale
     out[:, 0] += x0 + w / 2.0
@@ -228,38 +211,37 @@ def _fit_to_box(pos: np.ndarray, box: tuple[float, float, float, float], margin:
     return out
 
 
-def _text(x, y, label, size, fill, weight=None) -> str:
-    extra = f' font-weight="{weight}"' if weight else ""
+def _text(x, y, label, fill) -> str:
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" dy="0.35em" text-anchor="middle" '
-        f'font-family="Helvetica, Arial, sans-serif" font-size="{_fmt(size)}" '
-        f'fill="{fill}"{extra}>{label}</text>'
+        f'font-family="Helvetica, Arial, sans-serif" font-size="{_fmt(FONT_SIZE)}" '
+        f'fill="{fill}">{label}</text>'
     )
 
 
-def _vertex_node(x, y, v, cfg) -> list[str]:
+def _vertex_node(x, y, v) -> list[str]:
     return [
-        f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(cfg.vertex_radius)}" fill="{VERTEX_FILL}"/>',
-        _text(x, y, vname(v), cfg.font_size, "#ffffff"),
+        f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(VERTEX_RADIUS)}" fill="{VERTEX_FILL}"/>',
+        _text(x, y, vname(v), "#ffffff"),
     ]
 
 
-def _edge_square(x, y, j, cfg) -> list[str]:
-    s = cfg.square_half
+def _edge_square(x, y, j) -> list[str]:
+    s = SQUARE_HALF
     return [
         f'<rect x="{_fmt(x - s)}" y="{_fmt(y - s)}" width="{_fmt(2 * s)}" height="{_fmt(2 * s)}" '
-        f'fill="{edge_color(j, cfg)}"/>',
-        _text(x, y, ename(j), cfg.font_size, "#ffffff"),
+        f'fill="{edge_color(j)}"/>',
+        _text(x, y, ename(j), "#ffffff"),
     ]
 
 
-def _label_box(x, y, label, stroke, cfg) -> list[str]:
+def _label_box(x, y, label, stroke) -> list[str]:
     w = max(34.0, 10.0 + 7.2 * len(label))
     hh = 22.0
     return [
         f'<rect x="{_fmt(x - w / 2)}" y="{_fmt(y - hh / 2)}" width="{_fmt(w)}" height="{_fmt(hh)}" '
         f'fill="#ffffff" stroke="{stroke}" stroke-width="1"/>',
-        _text(x, y, label, cfg.font_size, "#000000"),
+        _text(x, y, label, "#000000"),
     ]
 
 
@@ -270,12 +252,12 @@ def _membership_line(p, q, color) -> str:
     )
 
 
-def _scene_enc_hy(h: Hypergraph, seed: int, box, cfg) -> list[str]:
+def _scene_enc_hy(h: Hypergraph, seed: int, box) -> list[str]:
     pos = layout_stress(h.n, h.vertex_pairs(), seed)
-    pos = _fit_to_box(pos, box, cfg.margin)
+    pos = _fit_to_box(pos, box)
     parts: list[str] = []
     for j, members in enumerate(h.edges):
-        color = edge_color(j, cfg)
+        color = edge_color(j)
         pts = [(pos[v][0], pos[v][1]) for v in members]
         centroid = (sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
         hull = convex_hull(pts) if len(members) >= 3 else []
@@ -297,48 +279,46 @@ def _scene_enc_hy(h: Hypergraph, seed: int, box, cfg) -> list[str]:
                 f'x2="{_fmt(ends[1][0])}" y2="{_fmt(ends[1][1])}" stroke="{color}" '
                 f'stroke-width="26" stroke-opacity="0.15" stroke-linecap="round"/>'
             )
-        parts.extend(_label_box(centroid[0], centroid[1], ename(j), color, cfg))
+        parts.extend(_label_box(centroid[0], centroid[1], ename(j), color))
     for v in range(h.n):
-        parts.extend(_vertex_node(pos[v][0], pos[v][1], v, cfg))
+        parts.extend(_vertex_node(pos[v][0], pos[v][1], v))
     return parts
 
 
-def _incidence_parts(h: Hypergraph, vpos, epos, cfg) -> list[str]:
+def _incidence_parts(h: Hypergraph, vpos, epos) -> list[str]:
     """Membership lines, then vertex disks at ``vpos``, then hyperedge squares at ``epos``."""
     parts: list[str] = []
     for j, members in enumerate(h.edges):
         for v in members:
-            parts.append(_membership_line(vpos[v], epos[j], edge_color(j, cfg)))
+            parts.append(_membership_line(vpos[v], epos[j], edge_color(j)))
     for v in range(h.n):
-        parts.extend(_vertex_node(vpos[v][0], vpos[v][1], v, cfg))
+        parts.extend(_vertex_node(vpos[v][0], vpos[v][1], v))
     for j in range(h.num_edges):
-        parts.extend(_edge_square(epos[j][0], epos[j][1], j, cfg))
+        parts.extend(_edge_square(epos[j][0], epos[j][1], j))
     return parts
 
 
-def _scene_bi_inc(h: Hypergraph, seed: int, box, cfg) -> list[str]:
+def _scene_bi_inc(h: Hypergraph, seed: int, box) -> list[str]:
     x0, y0, w, hh = box
     top, bottom = layout_rows(h.n, h.num_edges, w, hh)
-    return _incidence_parts(h, top + np.array([x0, y0]), bottom + np.array([x0, y0]), cfg)
+    return _incidence_parts(h, top + np.array([x0, y0]), bottom + np.array([x0, y0]))
 
 
-def _scene_shell(h: Hypergraph, seed: int, box, cfg, vertices_inner: bool, inner_ratio: float) -> list[str]:
+def _scene_shell(h: Hypergraph, seed: int, box, vertex_ratio: float, edge_ratio: float) -> list[str]:
+    """Vertices and hyperedge nodes on two concentric rings, their radii given
+    as fractions of the largest ring that fits the box."""
     x0, y0, w, hh = box
-    radius = min(w, hh) / 2.0 - cfg.margin
+    radius = min(w, hh) / 2.0 - MARGIN
     center = np.array([x0 + w / 2.0, y0 + hh / 2.0])
-    if vertices_inner:
-        vpos = ring_positions(h.n, radius * inner_ratio) + center
-        epos = ring_positions(h.num_edges, radius) + center
-    else:
-        vpos = ring_positions(h.n, radius) + center
-        epos = ring_positions(h.num_edges, radius * inner_ratio) + center
-    return _incidence_parts(h, vpos, epos, cfg)
+    vpos = ring_positions(h.n, radius * vertex_ratio) + center
+    epos = ring_positions(h.num_edges, radius * edge_ratio) + center
+    return _incidence_parts(h, vpos, epos)
 
 
-def _scene_cli_exp(h: Hypergraph, seed: int, box, cfg) -> list[str]:
+def _scene_cli_exp(h: Hypergraph, seed: int, box) -> list[str]:
     pairs = h.vertex_pairs()
-    pos = layout_spring(h.n, pairs, k=2.0, iterations=100, scale=3.0, seed=seed)
-    pos = _fit_to_box(pos, box, cfg.margin)
+    pos = layout_spring(h.n, pairs, seed=seed)
+    pos = _fit_to_box(pos, box)
     containing: dict[tuple[int, int], list[int]] = {p: [] for p in pairs}
     for j, members in enumerate(h.edges):
         for ai in range(len(members)):
@@ -353,50 +333,48 @@ def _scene_cli_exp(h: Hypergraph, seed: int, box, cfg) -> list[str]:
     for a, b in pairs:
         mid = ((pos[a][0] + pos[b][0]) / 2.0, (pos[a][1] + pos[b][1]) / 2.0)
         label = ",".join(ename(j) for j in containing[(a, b)])
-        parts.extend(_label_box(mid[0], mid[1], label, SEGMENT_STROKE, cfg))
+        parts.extend(_label_box(mid[0], mid[1], label, SEGMENT_STROKE))
     for v in range(h.n):
-        parts.extend(_vertex_node(pos[v][0], pos[v][1], v, cfg))
+        parts.extend(_vertex_node(pos[v][0], pos[v][1], v))
     return parts
 
 
 _SCENES = {
     "Enc-Hy": _scene_enc_hy,
     "Bi-Inc": _scene_bi_inc,
-    "Sh-Inc": lambda h, seed, box, cfg: _scene_shell(h, seed, box, cfg, True, 0.5),
-    "St-Inc": lambda h, seed, box, cfg: _scene_shell(h, seed, box, cfg, False, 0.15),
+    "Sh-Inc": lambda h, seed, box: _scene_shell(h, seed, box, 0.5, 1.0),
+    "St-Inc": lambda h, seed, box: _scene_shell(h, seed, box, 1.0, 0.15),
     "Cli-Exp": _scene_cli_exp,
 }
 
 
-def _document(parts: list[str], cfg: RenderConfig) -> str:
+def _document(parts: list[str]) -> str:
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(cfg.width)}" '
-        f'height="{_fmt(cfg.height)}" viewBox="0 0 {_fmt(cfg.width)} {_fmt(cfg.height)}">\n'
-        f'<rect x="0" y="0" width="{_fmt(cfg.width)}" height="{_fmt(cfg.height)}" fill="#ffffff"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+        f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">\n'
+        f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="#ffffff"/>\n'
     )
     return head + "\n".join(parts) + "\n</svg>\n"
 
 
-def render_svg(h: Hypergraph, fmt: str, seed: int = 0, cfg: RenderConfig = DEFAULT_CONFIG) -> str:
+def render_svg(h: Hypergraph, fmt: str, seed: int = 0) -> str:
     if fmt not in _SCENES:
         raise ValueError(f"unknown visual format {fmt!r}; expected one of {VISUAL_FORMATS}")
-    box = (0.0, 0.0, cfg.width, cfg.height)
-    return _document(_SCENES[fmt](h, seed, box, cfg), cfg)
+    box = (0.0, 0.0, WIDTH, HEIGHT)
+    return _document(_SCENES[fmt](h, seed, box))
 
 
-def render_svg_pair(
-    a: Hypergraph, b: Hypergraph, fmt: str, seed: int = 0, cfg: RenderConfig = DEFAULT_CONFIG
-) -> str:
+def render_svg_pair(a: Hypergraph, b: Hypergraph, fmt: str, seed: int = 0) -> str:
     """Two hypergraphs side by side in one canvas with a shared layout seed,
     so isomorphic pairs tend to look alike."""
     if fmt not in _SCENES:
         raise ValueError(f"unknown visual format {fmt!r}; expected one of {VISUAL_FORMATS}")
-    half = cfg.width / 2.0
-    parts = _SCENES[fmt](a, seed, (0.0, 0.0, half, cfg.height), cfg)
+    half = WIDTH / 2.0
+    parts = _SCENES[fmt](a, seed, (0.0, 0.0, half, HEIGHT))
     parts.append(
-        f'<line x1="{_fmt(half)}" y1="0" x2="{_fmt(half)}" y2="{_fmt(cfg.height)}" '
+        f'<line x1="{_fmt(half)}" y1="0" x2="{_fmt(half)}" y2="{_fmt(HEIGHT)}" '
         f'stroke="#cccccc" stroke-width="2" stroke-dasharray="8,8"/>'
     )
-    parts.extend(_SCENES[fmt](b, seed, (half, 0.0, half, cfg.height), cfg))
-    return _document(parts, cfg)
+    parts.extend(_SCENES[fmt](b, seed, (half, 0.0, half, HEIGHT)))
+    return _document(parts)

@@ -13,46 +13,43 @@ import re
 import time
 
 from hyperbench import (
-    ALL_COMBOS,
-    TASKS,
-    VISUAL_FORMATS,
-    GenSpec,
     Hypergraph,
     build_prm,
-    canonical_answer_text,
-    corrupted_answer_text,
-    demo_pool,
-    derive_seed,
-    edge_count_bounds,
     emit_corpus,
-    gen_3cl_instance,
-    gen_hhm_instance,
-    gen_ism_pair,
-    gen_random_connected,
-    gen_shc_instance,
     grade_responses,
     make_meta,
-    oracle_ism,
-    oracle_omf,
-    oracle_osp,
     parse_honeigh,
     parse_incmat,
     parse_nset,
-    prompt_for,
     read_jsonl as load_manifest,
     render_text,
     solve_ism,
     solve_omf,
     solve_osp,
-    subsample_real,
-    verify_3cl,
-    verify_hhm,
     verify_shc,
 )
-from hyperbench.bench import SOURCES, plan_mix, render_meta_svg
+from hyperbench.bench import ALL_COMBOS, SOURCES, TASKS, plan_mix, prompt_for, render_meta_svg
 from hyperbench.cli import main as cli_main
-from hyperbench.generate import SCALE_CLASSES, SCALE_RANGES, _mutate, relabel
-from hyperbench.grade import GradeRecord, ParsedAnswer
+from hyperbench.generate import (
+    SCALE_CLASSES,
+    SCALE_RANGES,
+    GenSpec,
+    _mutate,
+    demo_pool,
+    derive_seed,
+    edge_count_bounds,
+    gen_3cl_instance,
+    gen_hhm_instance,
+    gen_ism_pair,
+    gen_random_connected,
+    gen_shc_instance,
+    relabel,
+    subsample_real,
+)
+from hyperbench.grade import GradeRecord, ParsedAnswer, canonical_answer_text, corrupted_answer_text
+from hyperbench.solve import oracle_ism, oracle_omf, oracle_osp
+from hyperbench.verify import verify_3cl, verify_hhm
+from hyperbench.visual_repr import VISUAL_FORMATS
 
 from conftest import random_hypergraph
 
@@ -176,14 +173,14 @@ def test_criterion_3_structural_constraints():
             graphs = [pair.a, pair.b]
         elif task == "3-CL":
             if source == "real":
-                from hyperbench import find_3cl
+                from hyperbench.verify import find_3cl
 
                 graphs = [subsample_real(pool, spec, require=lambda g: find_3cl(g) is not None)]
             else:
                 graphs = [gen_3cl_instance(spec).hypergraph]
         elif task == "SHC":
             if source == "real":
-                from hyperbench import find_shc
+                from hyperbench.verify import find_shc
 
                 graphs = [subsample_real(pool, spec, require=lambda g: find_shc(g) is not None)]
             else:

@@ -5,26 +5,22 @@ import random
 
 import pytest
 
-from hyperbench import (
-    ALL_COMBOS,
-    TASKS,
-    TEXT_FORMATS,
-    VISUAL_FORMATS,
-    emit_corpus,
-    make_meta,
-    prompt_for,
-    question_sentence,
-    read_jsonl,
-)
+from hyperbench import emit_corpus, make_meta, read_jsonl
 from hyperbench.bench import (
+    ALL_COMBOS,
     TASK_SPECS,
+    TASKS,
     answer_spec_row,
     plan_assignments,
     plan_mix,
+    prompt_for,
+    question_sentence,
     render_meta_svg,
     sample_params,
     sample_rows,
 )
+from hyperbench.text_repr import TEXT_FORMATS
+from hyperbench.visual_repr import VISUAL_FORMATS
 
 
 def test_task_tables():

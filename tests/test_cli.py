@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from hyperbench import canonical_answer_text, make_meta, read_jsonl, save_json
+from hyperbench import make_meta, read_jsonl, save_json
 from hyperbench.bench import sample_rows
 from hyperbench.cli import main
+from hyperbench.grade import canonical_answer_text
 
 
 @pytest.fixture
@@ -118,6 +119,56 @@ def test_bad_pool_file_is_usage_error(tmp_path, capsys, cmd, name, text, message
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+SMALL_POOL = "3 8\n1 2 3\n3 4 5 6\n6 7 8\n"  # 8 vertices
+
+
+@pytest.mark.parametrize(
+    "args, most",
+    [
+        pytest.param(["emit", "--per-task", "1", "--dry-run"], 15, id="emit"),
+        pytest.param(["generate", "--source", "real", "--scale", "large"], 20, id="generate"),
+    ],
+)
+def test_pool_too_small_is_usage_error(tmp_path, capsys, args, most):
+    pool = tmp_path / "pool.hgr"
+    pool.write_text(SMALL_POOL, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*args, "--seed", "1", "--pool", str(pool), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: pool too small: {pool} has 8 vertices, this run may draw {most}\n"
+    assert not (out / "manifest.jsonl").exists()
+
+
+def test_small_pool_is_fine_when_not_drawn_from(tmp_path):
+    pool = tmp_path / "pool.hgr"
+    pool.write_text(SMALL_POOL, encoding="utf-8")
+    args = ["emit", "--seed", "1", "--per-task", "1", "--dry-run", "--source-mix", "1:0"]
+    assert main([*args, "--pool", str(pool), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("per_task", ["0", "-2"])
+def test_emit_per_task_below_one_is_usage_error(tmp_path, capsys, per_task):
+    assert main(["emit", "--seed", "1", "--per-task", per_task, "--dry-run", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --per-task must be at least 1, got {per_task}\n"
+
+
+@pytest.mark.parametrize(
+    "s, t, message",
+    [
+        pytest.param("99", "0", "vertex id 99 outside 0..4", id="s-out-of-range"),
+        pytest.param("0", "-1", "vertex id -1 outside 0..4", id="t-out-of-range"),
+        pytest.param("2", "2", "path endpoints must differ", id="equal"),
+    ],
+)
+def test_verify_bad_endpoints_are_usage_errors(hstar_file, capsys, s, t, message):
+    args = ["verify", "--task", "hhm", "--graph", str(hstar_file), "--cert", "Path:[e0]", "--s", s, "--t", t]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_exit_codes(hstar_file, capsys):

@@ -3,16 +3,8 @@ import random
 
 import pytest
 
-from hyperbench import (
-    Hypergraph,
-    dumps,
-    from_json_dict,
-    load_json,
-    loads,
-    parse_hmetis,
-    save_json,
-    to_json_dict,
-)
+from hyperbench import Hypergraph, load_json, save_json
+from hyperbench.core import dumps, from_json_dict, loads, parse_hmetis, to_json_dict
 
 
 def test_construction_normalizes_members():

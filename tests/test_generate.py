@@ -3,8 +3,12 @@ import random
 
 import pytest
 
-from hyperbench import (
+from hyperbench import Hypergraph, solve_ism, verify_shc
+from hyperbench.generate import (
+    MAX_ORDER,
+    SCALE_RANGES,
     GenSpec,
+    SourcePool,
     classify_scale,
     demo_pool,
     derive_seed,
@@ -15,18 +19,10 @@ from hyperbench import (
     gen_random_connected,
     gen_shc_instance,
     load_pool,
-    solve_ism,
-    subsample_real,
-    verify_3cl,
-    verify_hhm,
-    verify_shc,
-)
-from hyperbench.generate import (
-    MAX_ORDER,
-    SCALE_RANGES,
-    SourcePool,
     relabel,
+    subsample_real,
 )
+from hyperbench.verify import verify_3cl, verify_hhm
 
 
 def test_derive_seed_stable():
@@ -147,11 +143,11 @@ def test_subsample_real(scale):
 
 
 def test_subsample_target_and_errors():
-    pool = demo_pool()
-    h = subsample_real(pool, GenSpec("generic", "small", "real", 4), target=7)
-    assert h.n == 7
-    with pytest.raises(ValueError):
-        subsample_real(pool, GenSpec("generic", "small", "real", 4), target=pool.hypergraph.n + 1)
+    # the target vertex count is drawn from the scale range; a pool smaller
+    # than the draw cannot be subsampled
+    pool = SourcePool(Hypergraph(8, [(0, 1, 2), (2, 3, 4, 5), (5, 6, 7)]), "tiny")
+    with pytest.raises(ValueError, match="pool too small"):
+        subsample_real(pool, GenSpec("generic", "large", "real", 4))
 
 
 def test_subsample_require():

@@ -3,23 +3,20 @@ import warnings
 
 import pytest
 
-from hyperbench import (
-    ALL_COMBOS,
+from hyperbench import aggregate, build_prm, emit_corpus, grade_responses, read_jsonl
+from hyperbench.bench import ALL_COMBOS
+from hyperbench.core import to_json_dict
+from hyperbench.grade import (
     GradeOptions,
-    aggregate,
-    build_prm,
+    GradeRecord,
+    ParsedAnswer,
     canonical_answer_text,
     corrupted_answer_text,
-    emit_corpus,
-    grade_responses,
     judge,
     parse_answer,
-    read_jsonl,
-    to_json_dict,
     write_grades,
     write_prm,
 )
-from hyperbench.grade import GradeRecord, ParsedAnswer
 
 STRICT = GradeOptions(lenient=False)
 
@@ -355,3 +352,8 @@ def test_corrupted_empty_set():
 def test_corrupted_osp_none():
     row = _row("OSP", "path_weight", None)
     assert not judge(row, parse_answer("OSP", corrupted_answer_text(row)))[0]
+
+
+def test_kind_mismatch_is_flagged():
+    row = _row("VC", "flow", 3)  # the answer kind disagrees with the task's
+    assert judge(row, parse_answer("VC", "Ans: 3")) == (False, ("kind_mismatch",))

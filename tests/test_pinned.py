@@ -12,8 +12,9 @@ import json
 
 import pytest
 
-from hyperbench import canonical_answer_text, corrupted_answer_text, emit_corpus
+from hyperbench import emit_corpus
 from hyperbench.cli import main
+from hyperbench.grade import canonical_answer_text, corrupted_answer_text
 
 MANIFEST_SHA256 = "0da995a1be4cecbe6b998cdabd06c595222853e190095edaf6fba94bfe8b3ba3"
 

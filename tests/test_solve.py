@@ -3,18 +3,9 @@ import random
 
 import pytest
 
-from hyperbench import (
-    Hypergraph,
-    oracle_ism,
-    oracle_omf,
-    oracle_osp,
-    solve_dvc,
-    solve_ism,
-    solve_oec,
-    solve_omf,
-    solve_osp,
-)
+from hyperbench import Hypergraph, solve_ism, solve_omf, solve_osp
 from hyperbench.generate import relabel
+from hyperbench.solve import oracle_ism, oracle_omf, oracle_osp, solve_dvc, solve_oec
 
 from conftest import random_hypergraph
 

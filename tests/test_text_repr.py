@@ -3,15 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from hyperbench import (
-    Hypergraph,
-    ParseError,
-    parse_honeigh,
-    parse_incmat,
-    parse_nset,
-    render_text,
-)
-from hyperbench.text_repr import TEXT_FORMATS, english_join
+from hyperbench import Hypergraph, parse_honeigh, parse_incmat, parse_nset, render_text
+from hyperbench.text_repr import TEXT_FORMATS, ParseError, english_join
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "text"
 

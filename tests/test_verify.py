@@ -4,22 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbench import (
-    Hypergraph,
+from hyperbench import Hypergraph, find_hhm, verify, verify_shc
+from hyperbench.bench import make_meta
+from hyperbench.generate import (
+    SCALE_CLASSES,
+    GenSpec,
+    demo_pool,
+    derive_seed,
+    gen_hhm_instance,
+    subsample_real,
+)
+from hyperbench.verify import (
+    _pair_adjacency,
     find_3cl,
-    find_hhm,
+    find_hhm_any,
     find_shc,
     format_coloring,
     format_cycle,
     format_path,
     verify_3cl,
     verify_hhm,
-    verify_shc,
 )
-from hyperbench.bench import make_meta
-from hyperbench.generate import SCALE_CLASSES, GenSpec, demo_pool, derive_seed, gen_hhm_instance, subsample_real
-from hyperbench import verify
-from hyperbench.verify import _pair_adjacency, find_hhm_any
 
 
 def test_verify_3cl(hstar):

@@ -4,14 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from hyperbench import Hypergraph, render_svg, render_svg_pair
+from hyperbench import Hypergraph, render_svg
 from hyperbench.visual_repr import (
     VISUAL_FORMATS,
     convex_hull,
     layout_rows,
-    layout_shell,
     layout_spring,
     layout_stress,
+    render_svg_pair,
     ring_positions,
     stress_energy,
 )
@@ -105,8 +105,6 @@ def test_layout_stress_reduces_energy():
 def test_layout_shapes():
     assert layout_stress(1, []).shape == (1, 2)
     assert layout_spring(3, [(0, 1)], seed=2).shape == (3, 2)
-    inner, outer = layout_shell(3, 5)
-    assert inner.shape == (3, 2) and outer.shape == (5, 2)
     top, bottom = layout_rows(2, 4, 100.0, 50.0)
     assert top.shape == (2, 2) and bottom.shape == (4, 2)
     ring = ring_positions(4, 1.0)
