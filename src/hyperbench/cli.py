@@ -74,14 +74,18 @@ def _load_graph(path: str) -> Hypergraph:
 
 
 def _load_pool(path: str | None, scales) -> gen.SourcePool | None:
-    """The pool file at ``path``, or None without one; a usage error if it has
-    fewer vertices than a real subsample of one of ``scales`` may draw."""
+    """The pool file at ``path``, or None without one; a usage error if it, or
+    its largest component, has fewer vertices than a real subsample of one of
+    ``scales`` may draw."""
     if not path:
         return None
     pool = _load("pool", gen.load_pool, path)
     need = max((gen.SCALE_RANGES[scale][1] for scale in scales), default=0)
     if pool.hypergraph.n < need:
         raise UsageError(f"pool too small: {path} has {pool.hypergraph.n} vertices, this run may draw {need}")
+    if pool.largest < need:
+        largest = f"{path}'s largest component has {pool.largest} vertices"
+        raise UsageError(f"pool too small: {largest}, this run may draw {need}")
     return pool
 
 

@@ -8,8 +8,8 @@ contain duplicate vertex sets; list position is the edge's identity.
 
 from __future__ import annotations
 
+import itertools
 import json
-from collections import deque
 
 MIN_EDGE_SIZE = 2
 
@@ -134,33 +134,41 @@ class Hypergraph:
     def order_sequence(self) -> tuple[int, ...]:
         return tuple(len(e) for e in self.edges)
 
+    def pair_edges(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each pair (u, v), u < v, co-occurring in some hyperedge, in sorted
+        order, mapped to the ascending ids of the hyperedges containing both."""
+        table: dict[tuple[int, int], list[int]] = {}
+        for j, members in enumerate(self.edges):
+            for pair in itertools.combinations(members, 2):
+                table.setdefault(pair, []).append(j)
+        return {pair: tuple(table[pair]) for pair in sorted(table)}
+
     def vertex_pairs(self) -> tuple[tuple[int, int], ...]:
         """Sorted distinct pairs (u, v), u < v, co-occurring in some hyperedge."""
-        pairs = set()
-        for members in self.edges:
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    pairs.add((members[a], members[b]))
-        return tuple(sorted(pairs))
+        return tuple(self.pair_edges())
+
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex sets linked through shared hyperedges, each ascending, ordered
+        by their least vertex; a vertex with no incident edge is its own."""
+        label = [-1] * self.n
+        comps = []
+        for root in range(self.n):
+            if label[root] >= 0:
+                continue
+            label[root] = len(comps)
+            members = [root]
+            for v in members:  # breadth-first: the list grows as it is walked
+                for j in self._incident[v]:
+                    for w in self.edges[j]:
+                        if label[w] < 0:
+                            label[w] = len(comps)
+                            members.append(w)
+            comps.append(tuple(sorted(members)))
+        return tuple(comps)
 
     def is_connected(self) -> bool:
-        """True iff every vertex is reachable from v0 via shared hyperedges.
-
-        A vertex with no incident edge makes the hypergraph disconnected
-        (unless it is the only vertex).
-        """
-        if self.n == 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for j in self._incident[v]:
-                for w in self.edges[j]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-        return len(seen) == self.n
+        """True iff the vertices form one component (a lone vertex does)."""
+        return len(self.components()) == 1
 
 
 def to_json_dict(h: Hypergraph) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Hypergraph, loads, parse_hmetis
 from .solve import solve_ism
@@ -99,25 +99,6 @@ class IsmPair:
     isomorphic: bool
 
 
-def _components(n: int, edges) -> list[list[int]]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for members in edges:
-        root = find(members[0])
-        for v in members[1:]:
-            parent[find(v)] = root
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
 def _random_edge(rng: random.Random, n: int, cap: int) -> tuple[int, ...]:
     return tuple(sorted(rng.sample(range(n), rng.randint(2, cap))))
 
@@ -128,14 +109,12 @@ def _bridge_components(rng: random.Random, n: int, edges: list, max_edges: int, 
     Each bridge joins a random vertex of the first component to one of the
     second: the 2-edge between them, or ``join(a, b)`` when given.
     """
-    comps = _components(n, edges)
-    while len(comps) > 1:
+    while len(comps := Hypergraph(n, edges).components()) > 1:
         if len(edges) >= max_edges:
             return False
         a = rng.choice(comps[0])
         b = rng.choice(comps[1])
         edges.append(join(a, b) if join else (min(a, b), max(a, b)))
-        comps = _components(n, edges)
     return True
 
 
@@ -360,15 +339,18 @@ def gen_ism_pair(spec: GenSpec, pool: "SourcePool | None" = None) -> IsmPair:
 
 @dataclass(frozen=True)
 class SourcePool:
-    """A large real hypergraph serving as a subsampling source."""
+    """A large real hypergraph serving as a subsampling source; ``largest`` is
+    the vertex count of its largest component, the most a walk can collect."""
 
     hypergraph: Hypergraph
     name: str = "pool"
+    largest: int = field(init=False, compare=False)
 
     def __post_init__(self):
         bad = [v for v in range(self.hypergraph.n) if not self.hypergraph.incident_edges(v)]
         if bad:
             raise ValueError(f"pool has {len(bad)} isolated vertices (first: v{bad[0]})")
+        object.__setattr__(self, "largest", max(map(len, self.hypergraph.components())))
 
 
 def load_pool(path) -> SourcePool:
@@ -400,7 +382,8 @@ def subsample_real(pool: SourcePool, spec: GenSpec, require=None) -> Hypergraph:
     vertices (dropping exact duplicate restrictions), in lexicographic order.
     Retries with fresh walks until connected and, if given, until
     ``require(h)`` holds.  ValueError if the pool has fewer vertices than
-    the count drawn.
+    the count drawn, or if its largest component does (a walk never leaves
+    the component it starts in).
     """
     big = pool.hypergraph
     lo, hi = SCALE_RANGES[spec.scale]
@@ -409,6 +392,8 @@ def subsample_real(pool: SourcePool, spec: GenSpec, require=None) -> Hypergraph:
         goal = rng.randint(lo, hi)
         if goal > big.n:
             raise ValueError(f"pool too small: {big.n} vertices < target {goal}")
+        if goal > pool.largest:
+            raise ValueError(f"pool too small: largest component has {pool.largest} vertices < target {goal}")
         cur = rng.randrange(big.n)
         visited = [cur]
         vis_set = {cur}

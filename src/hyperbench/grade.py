@@ -221,6 +221,34 @@ def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
     return parsed.value == spec["value"], parsed.flags
 
 
+# what grading reads of each manifest row: its keys, the answer_spec's keys
+# (a certificate is judged against graph and params, other kinds against
+# value), and the keys whose values must be known names
+_ROW_KEYS = ("sample_id", "meta_id", "task", "text_format", "visual_format", "prompt", "answer_spec")
+_NAMED = (("task", TASKS), ("text_format", TEXT_FORMATS), ("visual_format", VISUAL_FORMATS))
+
+
+def check_manifest(manifest_rows) -> None:
+    """ValueError naming the first manifest row that lacks a key grading reads
+    or names an unknown task or format."""
+    for n, row in enumerate(manifest_rows, 1):
+        row = row if isinstance(row, dict) else {}
+        sid = row.get("sample_id")
+        where = f"manifest row {n}" + (f" ({sid})" if isinstance(sid, str) else "")
+        missing = [k for k in _ROW_KEYS if k not in row]
+        if "answer_spec" in row:
+            spec = row["answer_spec"] if isinstance(row["answer_spec"], dict) else {}
+            reads = ("graph", "params") if spec.get("kind") in CERTIFICATE_KINDS else ("value",)
+            missing += [f"answer_spec.{k}" for k in ("kind", *reads) if k not in spec]
+        if missing:
+            raise ValueError(f"{where} lacks {', '.join(missing)}")
+        if not isinstance(sid, str):
+            raise ValueError(f"{where} has no string sample_id")
+        for key, names in _NAMED:
+            if row[key] not in names:
+                raise ValueError(f"{where} has unknown {key} {row[key]!r}")
+
+
 def index_manifest(manifest_rows, sample_ids, what: str) -> dict[str, dict]:
     """The manifest rows by sample id; ValueError if ``sample_ids`` (of the
     responses or records, named by ``what``) include one the manifest lacks."""
@@ -259,8 +287,10 @@ def grade_responses(
     """Grade ``{"sample_id", "response"}`` responses against a manifest.
 
     The text may be under ``raw_text`` instead of ``response``.  A response
-    without either, a repeated sample id or an unknown one is a ValueError.
+    without either, a repeated sample id or an unknown one is a ValueError,
+    as is a manifest row that :func:`check_manifest` rejects.
     """
+    check_manifest(manifest_rows)
     texts = _response_texts(responses)
     by_id = index_manifest(manifest_rows, (sid for sid, _ in texts), "responses")
     records = []

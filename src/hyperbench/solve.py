@@ -144,11 +144,7 @@ def _vertex_signatures(h: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
 
 def _pair_cooccurrence(h: Hypergraph) -> dict[tuple[int, int], tuple[int, ...]]:
     """Sorted order multiset of the hyperedges containing each vertex pair."""
-    table: dict[tuple[int, int], list[int]] = {}
-    for members in h.edges:
-        for a, b in itertools.combinations(members, 2):
-            table.setdefault((a, b), []).append(len(members))
-    return {pair: tuple(sorted(orders)) for pair, orders in table.items()}
+    return {pair: tuple(sorted(len(h.edges[j]) for j in ids)) for pair, ids in h.pair_edges().items()}
 
 
 def solve_ism(a: Hypergraph, b: Hypergraph) -> bool:

@@ -8,7 +8,9 @@ sequence of hyperedges witnessing each step (HHM).
 Conventions the verifiers enforce:
   * colorings are total maps vertex -> {c0, c1, c2};
   * hypercycles list distinct hyperedge ids, length >= 2 (a 2-cycle
-    degenerates to a single shared-vertex constraint and is accepted);
+    degenerates to a single shared-vertex constraint and is accepted, so
+    :func:`find_shc` returns one and never searches a longer ring: every
+    ring's consecutive hyperedges already form a strict 2-cycle);
   * a Hamiltonian path over n vertices has exactly n-1 steps and may
     reuse a hyperedge for several steps.
 """
@@ -117,52 +119,19 @@ def find_3cl(h: Hypergraph):
     return tuple(colors) if assign(0) else None
 
 
-def _intersection_sizes(h: Hypergraph) -> list[list[int]]:
-    sets = [set(e) for e in h.edges]
-    m = len(sets)
-    table = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = len(sets[i] & sets[j])
-            table[i][j] = c
-            table[j][i] = c
-    return table
-
-
 def find_shc(h: Hypergraph):
     """A verifying strict hypercycle (tuple of edge ids), or None.
 
-    Scans all 2-cycles first, then searches longer cycles anchored at their
-    minimum edge id so each cycle is visited once.
+    Returns the first pair (i, j), i < j, of hyperedges sharing exactly one
+    vertex: a strict 2-cycle.  A longer ring never needs searching, since its
+    consecutive hyperedges are such pairs, so None means no strict
+    hypercycle of any length exists.
     """
-    m = h.num_edges
-    inter = _intersection_sizes(h)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if inter[i][j] == 1:
+    sets = [set(e) for e in h.edges]
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if len(sets[i] & sets[j]) == 1:
                 return (i, j)
-    path: list[int] = []
-    used: set[int] = set()
-
-    def dfs(start: int, cur: int) -> bool:
-        for nxt in range(start + 1, m):
-            if nxt in used or inter[cur][nxt] != 1:
-                continue
-            path.append(nxt)
-            used.add(nxt)
-            if len(path) >= 3 and inter[nxt][start] == 1:
-                return True
-            if dfs(start, nxt):
-                return True
-            path.pop()
-            used.remove(nxt)
-        return False
-
-    for start in range(m):
-        path = [start]
-        used = {start}
-        if dfs(start, start):
-            return tuple(path)
     return None
 
 
@@ -170,13 +139,10 @@ def _pair_adjacency(h: Hypergraph):
     """Clique-expansion neighbor sets and the smallest edge id per pair."""
     nbr: list[set[int]] = [set() for _ in range(h.n)]
     pair_edge: dict[tuple[int, int], int] = {}
-    for j, members in enumerate(h.edges):
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                a, b = members[ai], members[bi]
-                nbr[a].add(b)
-                nbr[b].add(a)
-                pair_edge.setdefault((a, b), j)
+    for (a, b), ids in h.pair_edges().items():
+        nbr[a].add(b)
+        nbr[b].add(a)
+        pair_edge[a, b] = ids[0]
     return nbr, pair_edge
 
 

@@ -316,23 +316,19 @@ def _scene_shell(h: Hypergraph, seed: int, box, vertex_ratio: float, edge_ratio:
 
 
 def _scene_cli_exp(h: Hypergraph, seed: int, box) -> list[str]:
-    pairs = h.vertex_pairs()
+    containing = h.pair_edges()
+    pairs = tuple(containing)
     pos = layout_spring(h.n, pairs, seed=seed)
     pos = _fit_to_box(pos, box)
-    containing: dict[tuple[int, int], list[int]] = {p: [] for p in pairs}
-    for j, members in enumerate(h.edges):
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                containing[(members[ai], members[bi])].append(j)
     parts: list[str] = []
     for a, b in pairs:
         parts.append(
             f'<line class="pair-edge" x1="{_fmt(pos[a][0])}" y1="{_fmt(pos[a][1])}" '
             f'x2="{_fmt(pos[b][0])}" y2="{_fmt(pos[b][1])}" stroke="{SEGMENT_STROKE}" stroke-width="2"/>'
         )
-    for a, b in pairs:
+    for (a, b), ids in containing.items():
         mid = ((pos[a][0] + pos[b][0]) / 2.0, (pos[a][1] + pos[b][1]) / 2.0)
-        label = ",".join(ename(j) for j in containing[(a, b)])
+        label = ",".join(ename(j) for j in ids)
         parts.extend(_label_box(mid[0], mid[1], label, SEGMENT_STROKE))
     for v in range(h.n):
         parts.extend(_vertex_node(pos[v][0], pos[v][1], v))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -140,6 +141,32 @@ def test_pool_too_small_is_usage_error(tmp_path, capsys, args, most):
     assert captured.out == ""
     assert captured.err == f"error: pool too small: {pool} has 8 vertices, this run may draw {most}\n"
     assert not (out / "manifest.jsonl").exists()
+
+
+SPLIT_POOL = "4 20\n" + "".join(f"{i} {i + 1} {i + 2} {i + 3} {i + 4}\n" for i in range(1, 20, 5))  # 4 × 5 vertices
+
+
+@pytest.mark.parametrize(
+    "args, most",
+    [
+        pytest.param(["emit", "--per-task", "1", "--dry-run"], 15, id="emit"),
+        pytest.param(["generate", "--source", "real", "--scale", "medium"], 15, id="generate"),
+    ],
+)
+def test_disconnected_pool_is_usage_error(tmp_path, capsys, args, most):
+    # a subsampling walk never leaves its component: the largest one decides
+    pool = tmp_path / "pool.hgr"
+    pool.write_text(SPLIT_POOL, encoding="utf-8")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([*args, "--seed", "1", "--pool", str(pool), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = f"error: pool too small: {pool}'s largest component has 5 vertices, this run may draw {most}\n"
+    assert captured.err == want
+    assert not (out / "manifest.jsonl").exists()
+    assert not list(out.glob("g-*.json"))
 
 
 def test_small_pool_is_fine_when_not_drawn_from(tmp_path):
@@ -284,14 +311,31 @@ def test_grade_bad_responses_are_usage_errors(tmp_path, vc_manifest, capsys, cmd
     assert not out.exists()
 
 
-def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys):
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+@pytest.mark.parametrize("case", ["malformed_line", "empty_row", "no_answer_spec", "unknown_format"])
+def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, cmd, case):
     manifest, rows = vc_manifest
-    with open(manifest, "a", encoding="utf-8") as fh:
-        fh.write('{"sample_id": \n')
-    line = json.dumps({"sample_id": rows[0]["sample_id"], "response": "Ans: 3"})
-    code, out = _grade(tmp_path, manifest, [line])
+    sid = rows[0]["sample_id"]
+    lines = [json.dumps(row, sort_keys=True) for row in rows]
+    if case == "no_answer_spec":
+        lines[0] = json.dumps({k: v for k, v in rows[0].items() if k != "answer_spec"})
+    elif case == "unknown_format":
+        lines[0] = json.dumps({**rows[0], "text_format": "Nope"})
+    else:
+        lines.append('{"sample_id": ' if case == "malformed_line" else "{}")
+    manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code, out = _grade(tmp_path, manifest, [json.dumps({"sample_id": sid, "response": "Ans: 3"})], cmd)
     assert code == 2
-    assert f"manifest.jsonl:{len(rows) + 1}: malformed JSON line" in capsys.readouterr().err
+    message = {
+        "malformed_line": f"manifest.jsonl:{len(rows) + 1}: malformed JSON line",
+        "empty_row": f"manifest row {len(rows) + 1} lacks sample_id, meta_id, task,",
+        "no_answer_spec": f"manifest row 1 ({sid}) lacks answer_spec\n",
+        "unknown_format": f"manifest row 1 ({sid}) has unknown text_format 'Nope'\n",
+    }[case]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert len(captured.err.splitlines()) == 1
     assert not out.exists()
 
 

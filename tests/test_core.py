@@ -2,6 +2,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbench import Hypergraph, load_json, save_json
 from hyperbench.core import dumps, from_json_dict, loads, parse_hmetis, to_json_dict
@@ -79,6 +81,66 @@ def test_connectivity(hstar):
     assert Hypergraph(1, []).is_connected()
     assert not Hypergraph(4, [(0, 1), (2, 3)]).is_connected()
     assert not Hypergraph(3, [(0, 1)]).is_connected()  # isolated v2
+
+
+@st.composite
+def hypergraphs(draw):
+    """A hypergraph of 1-9 vertices and at most 8 hyperedges, isolated
+    vertices and duplicate hyperedges allowed."""
+    n = draw(st.integers(1, 9))
+    if n == 1:
+        return Hypergraph(1, [])
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 5), unique=True)
+    return Hypergraph(n, draw(st.lists(edge, max_size=8)))
+
+
+def test_pair_edges(hstar):
+    assert hstar.pair_edges() == {
+        (0, 1): (0,), (0, 2): (0,), (1, 2): (0, 1), (1, 3): (1,), (2, 3): (1, 2), (2, 4): (2,), (3, 4): (2,),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs())
+def test_pair_edges_properties(h):
+    table = h.pair_edges()
+    pairs = list(table)
+    assert pairs == sorted(pairs)
+    assert h.vertex_pairs() == tuple(pairs)
+    for (u, v), ids in table.items():
+        assert u < v
+        assert list(ids) == sorted(set(ids))
+    want = {}
+    for j, e in enumerate(h.edges):
+        for u in e:
+            for v in e:
+                if u < v:
+                    want.setdefault((u, v), []).append(j)
+    assert {pair: list(ids) for pair, ids in table.items()} == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs())
+def test_components_properties(h):
+    comps = h.components()
+    assert sorted(v for comp in comps for v in comp) == list(range(h.n))
+    assert all(list(comp) == sorted(comp) for comp in comps)
+    assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+    for comp in comps:  # each is exactly what a BFS from its least vertex reaches
+        seen, frontier = {comp[0]}, [comp[0]]
+        while frontier:
+            v = frontier.pop()
+            for w in h.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        assert seen == set(comp)
+    assert h.is_connected() == (len(comps) == 1)
+
+
+def test_components(hstar):
+    assert hstar.components() == ((0, 1, 2, 3, 4),)
+    assert Hypergraph(5, [(3, 4), (0, 2)]).components() == ((0, 2), (1,), (3, 4))
 
 
 def test_degree_profile(hstar):

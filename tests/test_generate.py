@@ -150,6 +150,13 @@ def test_subsample_target_and_errors():
         subsample_real(pool, GenSpec("generic", "large", "real", 4))
 
 
+def test_subsample_needs_a_large_enough_component():
+    # 12 vertices in three components of 4: no walk can collect 5 or more
+    pool = SourcePool(Hypergraph(12, [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]), "split")
+    with pytest.raises(ValueError, match="largest component has 4 vertices < target"):
+        subsample_real(pool, GenSpec("generic", "small", "real", 4))
+
+
 def test_subsample_require():
     pool = demo_pool()
     h = subsample_real(

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -79,6 +80,36 @@ def test_find_shc(hstar):
     # chain with fat overlaps has no strict hypercycle
     h = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
     assert find_shc(h) is None
+
+
+@st.composite
+def few_edge_hypergraphs(draw):
+    """A hypergraph of 2-6 vertices and at most 7 hyperedges, duplicates allowed."""
+    n = draw(st.integers(2, 6))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+    return Hypergraph(n, draw(st.lists(edge, max_size=7)))
+
+
+def _has_strict_hypercycle(h):
+    """Brute force: some ordering of some 2..m distinct hyperedges, anchored
+    at its least id, verifies as a strict hypercycle."""
+    for k in range(2, h.num_edges + 1):
+        for ids in itertools.combinations(range(h.num_edges), k):
+            for rest in itertools.permutations(ids[1:]):
+                if verify_shc(h, (ids[0], *rest)):
+                    return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(few_edge_hypergraphs())
+def test_find_shc_matches_brute_force_over_all_lengths(h):
+    # a ring of any length has a consecutive pair meeting in one vertex, so
+    # scanning pairs decides existence for every cycle length
+    seq = find_shc(h)
+    assert (seq is not None) == _has_strict_hypercycle(h)
+    if seq is not None:
+        assert len(seq) == 2 and verify_shc(h, seq)
 
 
 def test_find_hhm(hstar):
