@@ -254,10 +254,7 @@ def _cmd_grade(args) -> int:
 
 def _cmd_prm(args) -> int:
     manifest, records = _grade_files(args)
-    try:
-        pairs = build_prm(records, manifest)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    pairs = build_prm(records, manifest)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "prm.jsonl"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS, task_spec
 from .core import from_json_dict, write_jsonl
@@ -214,57 +214,86 @@ def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
     if parsed.kind != kind:
         return False, parsed.flags + ("kind_mismatch",)
     if kind in CERTIFICATE_KINDS:
-        ok, extra = check_certificate(kind, from_json_dict(spec["graph"]), parsed.value, spec["params"])
+        try:
+            h = from_json_dict(spec["graph"])
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"manifest row {row['sample_id']} has an answer_spec.graph that does not build: {exc}") from None
+        ok, extra = check_certificate(kind, h, parsed.value, spec["params"])
         return ok, parsed.flags + extra
     if kind == "vertex_set":
         return sorted(parsed.value) == sorted(spec["value"]), parsed.flags
     return parsed.value == spec["value"], parsed.flags
 
 
-# what grading reads of each manifest row: its keys, the answer_spec's keys
-# (a certificate is judged against graph and params, other kinds against
-# value), and the keys whose values must be known names
+# what grading reads of each manifest row: its keys and the answer_spec's
+# keys (a certificate is judged against graph and params, other kinds
+# against value)
 _ROW_KEYS = ("sample_id", "meta_id", "task", "text_format", "visual_format", "prompt", "answer_spec")
-_NAMED = (("task", TASKS), ("text_format", TEXT_FORMATS), ("visual_format", VISUAL_FORMATS))
+# the row keys accuracy is tallied over (one accuracy.csv section each), with
+# the names each may hold
+_AXES = (("task", TASKS), ("text_format", TEXT_FORMATS), ("visual_format", VISUAL_FORMATS))
 
 
-def check_manifest(manifest_rows) -> None:
-    """ValueError naming the first manifest row that lacks a key grading reads
-    or names an unknown task or format."""
+def _check_certificate_row(where: str, spec: dict, task: str) -> None:
+    """ValueError unless a certificate row's graph has an int ``n`` >= 1 and its
+    params hold the task's parameters as distinct vertex ids (:func:`judge` builds the graph)."""
+    graph, params = spec["graph"], spec["params"]
+    n = graph.get("n") if isinstance(graph, dict) else None
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{where} has no answer_spec.graph object with an int n >= 1")
+    if not isinstance(params, dict):
+        raise ValueError(f"{where} has an answer_spec.params that is not an object")
+    names = task_spec(task).params
+    for name in names:
+        if type(params.get(name)) is not int or not 0 <= params[name] < n:
+            raise ValueError(f"{where} has answer_spec.params.{name} {params.get(name)!r}, not a vertex id in 0..{n - 1}")
+    if names == ("s", "t") and params["s"] == params["t"]:
+        raise ValueError(f"{where} has equal answer_spec.params s and t")
+
+
+def index_manifest(manifest_rows) -> dict[str, dict]:
+    """The manifest rows by sample id; ValueError naming the first row that
+    lacks a key grading reads, names an unknown task or format, holds a
+    certificate graph or params grading cannot use, or repeats an earlier
+    row's sample id."""
+    by_id: dict[str, dict] = {}
     for n, row in enumerate(manifest_rows, 1):
         row = row if isinstance(row, dict) else {}
         sid = row.get("sample_id")
         where = f"manifest row {n}" + (f" ({sid})" if isinstance(sid, str) else "")
+        spec = row["answer_spec"] if isinstance(row.get("answer_spec"), dict) else {}
+        certificate = spec.get("kind") in CERTIFICATE_KINDS
         missing = [k for k in _ROW_KEYS if k not in row]
         if "answer_spec" in row:
-            spec = row["answer_spec"] if isinstance(row["answer_spec"], dict) else {}
-            reads = ("graph", "params") if spec.get("kind") in CERTIFICATE_KINDS else ("value",)
+            reads = ("graph", "params") if certificate else ("value",)
             missing += [f"answer_spec.{k}" for k in ("kind", *reads) if k not in spec]
         if missing:
             raise ValueError(f"{where} lacks {', '.join(missing)}")
         if not isinstance(sid, str):
             raise ValueError(f"{where} has no string sample_id")
-        for key, names in _NAMED:
+        for key, names in _AXES:
             if row[key] not in names:
                 raise ValueError(f"{where} has unknown {key} {row[key]!r}")
-
-
-def index_manifest(manifest_rows, sample_ids, what: str) -> dict[str, dict]:
-    """The manifest rows by sample id; ValueError if ``sample_ids`` (of the
-    responses or records, named by ``what``) include one the manifest lacks."""
-    by_id = {row["sample_id"]: row for row in manifest_rows}
-    unknown = [sid for sid in sample_ids if sid not in by_id]
-    if unknown:
-        raise ValueError(f"{what} reference unknown sample ids: {unknown[:10]}")
+        if certificate:
+            _check_certificate_row(where, spec, row["task"])
+        if sid in by_id:
+            raise ValueError(f"{where} repeats the sample id of an earlier row")
+        by_id[sid] = row
     return by_id
 
 
-def _response_texts(responses) -> list[tuple[str, str]]:
-    """(sample_id, text) of each response, the text read from ``response`` or
-    else ``raw_text``; ValueError on a response without a sample id or text,
-    or on a sample id answered twice."""
-    out = []
-    seen: set[str] = set()
+def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OPTIONS) -> list[GradeRecord]:
+    """Grade ``{"sample_id", "response"}`` responses against a manifest.
+
+    The text may be under ``raw_text`` instead of ``response``.  A response
+    without either, a repeated sample id or an unknown one is a ValueError,
+    as is a manifest row that :func:`index_manifest` rejects or a
+    certificate graph that does not build.
+    """
+    by_id = index_manifest(manifest_rows)
+    records = []
+    seen: dict[str, None] = {}  # as a set, but a fifth of the memory at corpus scale
+    unknown: list[str] = []
     for n, resp in enumerate(responses, 1):
         sid = resp.get("sample_id") if isinstance(resp, dict) else None
         if not isinstance(sid, str):
@@ -274,44 +303,48 @@ def _response_texts(responses) -> list[tuple[str, str]]:
             raise ValueError(f"response {n} ({sid}) has neither a 'response' nor a 'raw_text' string")
         if sid in seen:
             raise ValueError(f"sample id {sid} has more than one response (response {n})")
-        seen.add(sid)
-        out.append((sid, text))
-    return out
-
-
-def grade_responses(
-    manifest_rows,
-    responses,
-    options: GradeOptions = DEFAULT_OPTIONS,
-) -> list[GradeRecord]:
-    """Grade ``{"sample_id", "response"}`` responses against a manifest.
-
-    The text may be under ``raw_text`` instead of ``response``.  A response
-    without either, a repeated sample id or an unknown one is a ValueError,
-    as is a manifest row that :func:`check_manifest` rejects.
-    """
-    check_manifest(manifest_rows)
-    texts = _response_texts(responses)
-    by_id = index_manifest(manifest_rows, (sid for sid, _ in texts), "responses")
-    records = []
-    for sid, text in texts:
-        row = by_id[sid]
-        parsed = parse_answer(row["task"], text, options)
-        correct, flags = judge(row, parsed)
-        records.append(GradeRecord(sid, parsed, correct, flags))
+        seen[sid] = None
+        row = by_id.get(sid)
+        if row is None:
+            unknown.append(sid)
+        elif not unknown:  # once an id is unknown the run fails; grade no further
+            parsed = parse_answer(row["task"], text, options)
+            correct, flags = judge(row, parsed)
+            records.append(GradeRecord(sid, parsed, correct, flags))
+    if unknown:
+        raise ValueError(f"responses reference unknown sample ids: {unknown[:10]}")
     return records
+
+
+def _graded_rows(records, manifest_rows) -> list[tuple[dict, list[int]]]:
+    """(row, hits) for each manifest row with records, in manifest order, with
+    one hit (1 or 0) per record of the row's sample id; ValueError on a
+    record whose sample id the manifest lacks, or on a repeated manifest id."""
+    hits: dict[str, list[int]] = {}
+    for rec in records:
+        hits.setdefault(rec.sample_id, []).append(1 if rec.correct else 0)
+    graded = []
+    seen: dict[str, None] = {}  # as a set, but a fifth of the memory at corpus scale
+    for row in manifest_rows:
+        sid = row["sample_id"]
+        if sid in seen:
+            raise ValueError(f"manifest sample id {sid} appears more than once")
+        seen[sid] = None
+        if sid in hits:
+            graded.append((row, hits[sid]))
+    if len(graded) < len(hits):
+        unknown = [rec.sample_id for rec in records if rec.sample_id not in seen]
+        raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
+    return graded
 
 
 @dataclass
 class AccuracyTable:
-    """Per-task and per-representation-axis accuracies (absent cells = None)."""
+    """Accuracy and graded-sample count per ``(section, key)`` cell, the
+    sections being the row keys in ``_AXES`` (a cell with no graded samples
+    holds ``(None, 0)``), plus the Avg.U / Avg.R task macro averages."""
 
-    task_acc: dict = field(default_factory=dict)
-    task_count: dict = field(default_factory=dict)
-    text_acc: dict = field(default_factory=dict)
-    text_count: dict = field(default_factory=dict)
-    visual_acc: dict = field(default_factory=dict)
-    visual_count: dict = field(default_factory=dict)
+    cells: dict
     avg_u: float | None = None
     avg_r: float | None = None
 
@@ -320,22 +353,13 @@ class AccuracyTable:
             return "" if acc is None else f"{acc:.4f}"
 
         lines = ["section,key,accuracy,count"]
-        for task in TASKS:
-            lines.append(f"task,{task},{fmt(self.task_acc[task])},{self.task_count[task]}")
-        for t in TEXT_FORMATS:
-            lines.append(f"text_format,{t},{fmt(self.text_acc[t])},{self.text_count[t]}")
-        for v in VISUAL_FORMATS:
-            lines.append(f"visual_format,{v},{fmt(self.visual_acc[v])},{self.visual_count[v]}")
+        for section, keys in _AXES:
+            for key in keys:
+                acc, count = self.cells[section, key]
+                lines.append(f"{section},{key},{fmt(acc)},{count}")
         lines.append(f"average,Avg.U,{fmt(self.avg_u)},")
         lines.append(f"average,Avg.R,{fmt(self.avg_r)},")
         return "\n".join(lines) + "\n"
-
-
-def _bucket_mean(pairs) -> tuple[float | None, int]:
-    total = len(pairs)
-    if total == 0:
-        return None, 0
-    return sum(pairs) / total, total
 
 
 def aggregate(records, manifest_rows) -> AccuracyTable:
@@ -344,28 +368,17 @@ def aggregate(records, manifest_rows) -> AccuracyTable:
     Each axis marginalizes over the other (a text format's cell averages all
     its graded samples across the five visual formats, and vice versa).
     """
-    by_id = index_manifest(manifest_rows, (r.sample_id for r in records), "records")
-    task_hits: dict[str, list[int]] = {t: [] for t in TASKS}
-    text_hits: dict[str, list[int]] = {t: [] for t in TEXT_FORMATS}
-    visual_hits: dict[str, list[int]] = {v: [] for v in VISUAL_FORMATS}
-    for rec in records:
-        row = by_id[rec.sample_id]
-        hit = 1 if rec.correct else 0
-        task_hits[row["task"]].append(hit)
-        text_hits[row["text_format"]].append(hit)
-        visual_hits[row["visual_format"]].append(hit)
-    table = AccuracyTable()
-    for task in TASKS:
-        table.task_acc[task], table.task_count[task] = _bucket_mean(task_hits[task])
-    for t in TEXT_FORMATS:
-        table.text_acc[t], table.text_count[t] = _bucket_mean(text_hits[t])
-    for v in VISUAL_FORMATS:
-        table.visual_acc[v], table.visual_count[v] = _bucket_mean(visual_hits[v])
-    present_u = [table.task_acc[t] for t in UNDERSTANDING_TASKS if table.task_acc[t] is not None]
-    present_r = [table.task_acc[t] for t in REASONING_TASKS if table.task_acc[t] is not None]
-    table.avg_u = sum(present_u) / len(present_u) if present_u else None
-    table.avg_r = sum(present_r) / len(present_r) if present_r else None
-    return table
+    tally: dict[tuple[str, str], list[int]] = {(section, key): [] for section, keys in _AXES for key in keys}
+    for row, hits in _graded_rows(records, manifest_rows):
+        for section, _ in _AXES:
+            tally[section, row[section]].extend(hits)
+    cells = {cell: (sum(h) / len(h) if h else None, len(h)) for cell, h in tally.items()}
+
+    def mean(tasks):
+        present = [cells["task", t][0] for t in tasks if cells["task", t][0] is not None]
+        return sum(present) / len(present) if present else None
+
+    return AccuracyTable(cells, mean(UNDERSTANDING_TASKS), mean(REASONING_TASKS))
 
 
 @dataclass(frozen=True)
@@ -389,32 +402,21 @@ def build_prm(records, manifest_rows) -> list[PRMPair]:
     Metas lacking graded records for any of the 35 combos are skipped with a
     warning.  The router input is the HO-Neigh prompt (rendering + question).
     """
-    by_id = index_manifest(manifest_rows, (r.sample_id for r in records), "records")
-    meta_order: list[str] = []
     combo_hits: dict[str, dict[tuple[str, str], list[int]]] = {}
     prompts: dict[str, str] = {}
-    for row in manifest_rows:
+    for row, hits in _graded_rows(records, manifest_rows):
         meta_id = row["meta_id"]
-        if meta_id not in combo_hits:
-            combo_hits[meta_id] = {}
-            meta_order.append(meta_id)
-        if row["text_format"] == "HO-Neigh" and meta_id not in prompts:
-            prompts[meta_id] = row["prompt"]
-    for rec in records:
-        row = by_id[rec.sample_id]
         combo = (row["text_format"], row["visual_format"])
-        combo_hits[row["meta_id"]].setdefault(combo, []).append(1 if rec.correct else 0)
+        combo_hits.setdefault(meta_id, {}).setdefault(combo, []).extend(hits)
+        if row["text_format"] == "HO-Neigh":
+            prompts.setdefault(meta_id, row["prompt"])
     pairs: list[PRMPair] = []
-    for meta_id in meta_order:
-        hits = combo_hits[meta_id]
-        missing = [c for c in ALL_COMBOS if not hits.get(c)]
+    for meta_id, by_combo in combo_hits.items():
+        missing = [c for c in ALL_COMBOS if c not in by_combo]
         if missing:
-            if hits:
-                warnings.warn(
-                    f"meta {meta_id}: {len(missing)} combos ungraded; skipped", stacklevel=2
-                )
+            warnings.warn(f"meta {meta_id}: {len(missing)} combos ungraded; skipped", stacklevel=2)
             continue
-        means = {combo: sum(h) / len(h) for combo, h in hits.items()}
+        means = {combo: sum(h) / len(h) for combo, h in by_combo.items()}
         best = max(means.values())
         winners = [combo for combo in ALL_COMBOS if means[combo] == best]
         degenerate = len(winners) == len(ALL_COMBOS)

@@ -6,7 +6,7 @@ import pytest
 from hyperbench import make_meta, read_jsonl, save_json
 from hyperbench.bench import sample_rows
 from hyperbench.cli import main
-from hyperbench.grade import canonical_answer_text
+from hyperbench.grade import canonical_answer_text, corrupted_answer_text
 
 
 @pytest.fixture
@@ -312,7 +312,7 @@ def test_grade_bad_responses_are_usage_errors(tmp_path, vc_manifest, capsys, cmd
 
 
 @pytest.mark.parametrize("cmd", ["grade", "prm"])
-@pytest.mark.parametrize("case", ["malformed_line", "empty_row", "no_answer_spec", "unknown_format"])
+@pytest.mark.parametrize("case", ["malformed_line", "empty_row", "no_answer_spec", "unknown_format", "repeated_id"])
 def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, cmd, case):
     manifest, rows = vc_manifest
     sid = rows[0]["sample_id"]
@@ -321,6 +321,8 @@ def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, 
         lines[0] = json.dumps({k: v for k, v in rows[0].items() if k != "answer_spec"})
     elif case == "unknown_format":
         lines[0] = json.dumps({**rows[0], "text_format": "Nope"})
+    elif case == "repeated_id":
+        lines.append(json.dumps({**rows[0], "answer_spec": {**rows[0]["answer_spec"], "value": 999}}))
     else:
         lines.append('{"sample_id": ' if case == "malformed_line" else "{}")
     manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -331,12 +333,66 @@ def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, 
         "empty_row": f"manifest row {len(rows) + 1} lacks sample_id, meta_id, task,",
         "no_answer_spec": f"manifest row 1 ({sid}) lacks answer_spec\n",
         "unknown_format": f"manifest row 1 ({sid}) has unknown text_format 'Nope'\n",
+        "repeated_id": f"manifest row {len(rows) + 1} ({sid}) repeats the sample id of an earlier row\n",
     }[case]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
     assert len(captured.err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("vertex_out_of_range", "has an answer_spec.graph that does not build: edge e0 references a vertex outside"),
+        ("edges_not_list", "has an answer_spec.graph that does not build: "),
+        ("params_empty", "has answer_spec.params.s None, not a vertex id in 0.."),
+        ("params_not_object", "has an answer_spec.params that is not an object"),
+        ("t_out_of_range", "has answer_spec.params.t "),
+        ("s_equals_t", "has equal answer_spec.params s and t"),
+    ],
+)
+def test_grade_unusable_certificate_row_is_usage_error(tmp_path, capsys, cmd, case, message):
+    rows = sample_rows(make_meta("HHM", 0, "small", "synthetic", 3))
+    spec = rows[0]["answer_spec"]
+    graph, params, n = spec["graph"], spec["params"], spec["graph"]["n"]
+    broken = {
+        "vertex_out_of_range": {"graph": {**graph, "edges": [graph["edges"][0][:-1] + [n], *graph["edges"][1:]]}},
+        "edges_not_list": {"graph": {**graph, "edges": 5}},
+        "params_empty": {"params": {}},
+        "params_not_object": {"params": [1]},
+        "t_out_of_range": {"params": {**params, "t": n}},
+        "s_equals_t": {"params": {**params, "t": params["s"]}},
+    }[case]
+    lines = [json.dumps({**rows[0], "answer_spec": {**spec, **broken}})] + [json.dumps(row) for row in rows[1:]]
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    sid = rows[0]["sample_id"]
+    code, out = _grade(tmp_path, manifest, [json.dumps({"sample_id": sid, "response": canonical_answer_text(rows[0])})], cmd)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert sid in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_grade_outputs_do_not_depend_on_response_order(tmp_path, vc_manifest):
+    manifest, rows = vc_manifest
+    lines = [
+        json.dumps({"sample_id": r["sample_id"], "response": (canonical_answer_text if i % 3 else corrupted_answer_text)(r)})
+        for i, r in enumerate(rows)
+    ]
+    outputs = []
+    for name, order in (("forward", lines), ("reverse", lines[::-1])):
+        assert _grade(tmp_path / name, manifest, order, "grade")[0] == 0
+        assert _grade(tmp_path / name, manifest, order, "prm")[0] == 0
+        outputs.append([(tmp_path / name / path).read_bytes() for path in ("grade/accuracy.csv", "prm/prm.jsonl")])
+    assert outputs[0] == outputs[1]
+    assert 0 < outputs[0][1].count(b"\n") < 35  # some combos win, not a 35-way tie
 
 
 def test_selfcheck(capsys):

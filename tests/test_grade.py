@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from hyperbench import aggregate, build_prm, emit_corpus, grade_responses, read_jsonl
-from hyperbench.bench import ALL_COMBOS
+from hyperbench.bench import ALL_COMBOS, TASKS
 from hyperbench.core import to_json_dict
 from hyperbench.grade import (
     GradeOptions,
@@ -17,6 +17,7 @@ from hyperbench.grade import (
     write_grades,
     write_prm,
 )
+from hyperbench.text_repr import TEXT_FORMATS
 
 STRICT = GradeOptions(lenient=False)
 
@@ -226,11 +227,11 @@ def test_aggregate_marginals():
         correct = row["text_format"] == "N-Set"
         records.append(GradeRecord(row["sample_id"], ParsedAnswer("count", 3), correct, ()))
     table = aggregate(records, rows)
-    assert table.task_acc["VC"] == pytest.approx(5 / 35)
-    assert table.text_acc["N-Set"] == 1.0
-    assert table.text_acc["LO-Inc"] == 0.0
-    assert table.visual_acc["Enc-Hy"] == pytest.approx(1 / 7)
-    assert table.task_acc["OMF"] is None
+    assert table.cells["task", "VC"][0] == pytest.approx(5 / 35)
+    assert table.cells["text_format", "N-Set"][0] == 1.0
+    assert table.cells["text_format", "LO-Inc"][0] == 0.0
+    assert table.cells["visual_format", "Enc-Hy"][0] == pytest.approx(1 / 7)
+    assert table.cells["task", "OMF"][0] is None
     assert table.avg_u == pytest.approx(5 / 35)  # only VC graded among understanding tasks
     assert table.avg_r is None
     csv = table.to_csv()
@@ -247,8 +248,17 @@ def test_aggregate_order_invariant():
     ]
     a = aggregate(records, rows)
     b = aggregate(list(reversed(records)), rows)
-    assert a.task_acc == b.task_acc
-    assert a.text_acc == b.text_acc
+    assert [a.cells["task", t] for t in TASKS] == [b.cells["task", t] for t in TASKS]
+    assert [a.cells["text_format", t] for t in TEXT_FORMATS] == [b.cells["text_format", t] for t in TEXT_FORMATS]
+
+
+def test_aggregate_and_prm_reject_repeated_manifest_id():
+    rows = _combo_rows("VC-0000")
+    records = [GradeRecord(r["sample_id"], ParsedAnswer("count", 3), True, ()) for r in rows]
+    repeated = rows + [{**rows[0], "answer_spec": {**rows[0]["answer_spec"], "value": 999}}]
+    for build in (aggregate, build_prm):
+        with pytest.raises(ValueError, match=f"manifest sample id {rows[0]['sample_id']} appears more than once"):
+            build(records, repeated)
 
 
 # -- PRM -------------------------------------------------------------------
