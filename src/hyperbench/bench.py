@@ -3,9 +3,11 @@
 A meta problem is one task instance (hypergraph(s) + parameters + ground
 truth).  Each meta expands into 35 QA samples — one per (textual, visual)
 representation combination — sharing the same answer.  ``emit_corpus``
-generates the metas with a 1:2:1 small:medium:large scale mix and a 1:1
-synthetic:real source mix, renders prompts and SVGs, and writes a JSONL
-manifest (keys sorted, no timestamps, byte-stable for a fixed seed).
+generates the metas with the paper's 1:2:1 small:medium:large scale mix and
+a 1:1 synthetic:real source mix, and writes the SVGs and a JSONL manifest
+(keys sorted, no timestamps, byte-stable for a fixed seed).  One function
+makes, renders and encodes each meta, in ``jobs`` worker processes or in
+this one; the parent appends the encoded lines in emission order.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import json
 import random
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from pathlib import Path
 
 from .core import Hypergraph, to_json_dict
@@ -38,6 +42,7 @@ from .verify import find_3cl, find_hhm, find_hhm_any, find_shc, format_coloring,
 from .visual_repr import VISUAL_FORMATS, render_svg, render_svg_pair
 
 SOURCES = ("synthetic", "real")
+SCALE_MIX = (1, 2, 1)  # small:medium:large, the paper's split
 
 # all 35 combos, text-major order
 ALL_COMBOS = tuple((t, v) for t in TEXT_FORMATS for v in VISUAL_FORMATS)
@@ -385,31 +390,39 @@ def plan_mix(count: int, labels, weights, rng: random.Random) -> list[str]:
     return out
 
 
-def plan_assignments(per_task: int, master_seed: int, scale_mix=(1, 2, 1), source_mix=(1, 1)):
+def plan_assignments(per_task: int, master_seed: int, source_mix=(1, 1)):
     """(task, index, scale, source) for every meta, in emission order."""
     out = []
     for task in TASKS:
         rng = random.Random(derive_seed(master_seed, task, "mix"))
-        scales = plan_mix(per_task, SCALE_CLASSES, scale_mix, rng)
+        scales = plan_mix(per_task, SCALE_CLASSES, SCALE_MIX, rng)
         sources = plan_mix(per_task, SOURCES, source_mix, rng)
         for idx in range(per_task):
             out.append((task, idx, scales[idx], sources[idx]))
     return out
 
 
-_WORKER_POOL: SourcePool | None = None
-_WORKER_SEED = 0
+_WORKER_CONTEXT = None  # a worker process's (master_seed, pool, images_dir), set once by _init_worker
 
 
-def _init_worker(pool: SourcePool | None, master_seed: int) -> None:
-    global _WORKER_POOL, _WORKER_SEED
-    _WORKER_POOL = pool
-    _WORKER_SEED = master_seed
+def _init_worker(*context) -> None:
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context
 
 
-def _meta_worker(assignment) -> MetaProblem:
-    task, idx, scale, source = assignment
-    return make_meta(task, idx, scale, source, _WORKER_SEED, _WORKER_POOL)
+def _emit_meta(assignment, context=None) -> str:
+    """Make one meta, write its SVGs unless ``images_dir`` is None, and return
+    its 35 manifest lines, encoded.  ``context`` is ``(master_seed, pool,
+    images_dir)``; in a worker process it defaults to ``_WORKER_CONTEXT``."""
+    master_seed, pool, images_dir = context or _WORKER_CONTEXT
+    meta = make_meta(*assignment, master_seed, pool)
+    if images_dir is not None:
+        for visual_fmt in VISUAL_FORMATS:
+            svg = render_meta_svg(meta, visual_fmt)
+            for text_fmt in TEXT_FORMATS:
+                path = images_dir / f"{meta.id}__{text_fmt}__{visual_fmt}.svg"
+                path.write_text(svg, encoding="utf-8")
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in sample_rows(meta))
 
 
 def emit_corpus(
@@ -417,7 +430,6 @@ def emit_corpus(
     master_seed: int,
     outdir,
     pool: SourcePool | None = None,
-    scale_mix=(1, 2, 1),
     source_mix=(1, 1),
     jobs: int = 1,
     write_images: bool = True,
@@ -435,36 +447,24 @@ def emit_corpus(
     images_dir = outdir / "images"
     if write_images:
         images_dir.mkdir(exist_ok=True)
-    assignments = plan_assignments(per_task, master_seed, scale_mix, source_mix)
-
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(pool, master_seed)
-        ) as ex:
-            metas = list(ex.map(_meta_worker, assignments, chunksize=8))
-    else:
-        metas = [make_meta(t, i, sc, so, master_seed, pool) for t, i, sc, so in assignments]
-
+    assignments = plan_assignments(per_task, master_seed, source_mix)
+    context = (master_seed, pool, images_dir if write_images else None)
     manifest_path = outdir / "manifest.jsonl"
-    with open(manifest_path, "w", encoding="utf-8") as mf:
-        for meta in metas:
+    with ExitStack() as stack:
+        if jobs > 1:
+            ex = stack.enter_context(ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=context))
+            emitted = ex.map(_emit_meta, assignments, chunksize=8)
+        else:
+            emitted = map(_emit_meta, assignments, repeat(context))
+        mf = stack.enter_context(open(manifest_path, "w", encoding="utf-8"))
+        for (task, idx, scale, source), lines in zip(assignments, emitted):
             if log:
-                log(f"meta {meta.id} ({meta.scale}/{meta.source})")
-            rows = sample_rows(meta)
-            if write_images:
-                for visual_fmt in VISUAL_FORMATS:
-                    svg = render_meta_svg(meta, visual_fmt)
-                    for text_fmt in TEXT_FORMATS:
-                        path = images_dir / f"{meta.id}__{text_fmt}__{visual_fmt}.svg"
-                        path.write_text(svg, encoding="utf-8")
-            for row in rows:
-                mf.write(json.dumps(row, sort_keys=True))
-                mf.write("\n")
-    samples = len(metas) * len(ALL_COMBOS)  # one row, and with images one SVG, per combo
+                log(f"meta {task}-{idx:04d} ({scale}/{source})")
+            mf.write(lines)
+    samples = len(assignments) * len(ALL_COMBOS)  # one row, and with images one SVG, per combo
     return {
-        "metas": len(metas),
+        "metas": len(assignments),
         "samples": samples,
         "images": samples if write_images else 0,
         "manifest": str(manifest_path),
     }
-

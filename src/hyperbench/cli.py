@@ -49,14 +49,11 @@ def _default_out() -> str:
     return os.environ.get("HYPERBENCH_OUT", "hyperbench-out")
 
 
-def _parse_mix(text: str, parts: int) -> tuple[int, ...]:
+def _parse_source_mix(text: str) -> tuple[int, int]:
     fields = text.split(":")
-    if len(fields) != parts or not all(f.isdigit() for f in fields):
-        raise UsageError(f"mix must be {parts} colon-separated integers, got {text!r}")
-    mix = tuple(int(f) for f in fields)
-    if sum(mix) == 0:
-        raise UsageError("mix must have a positive total")
-    return mix
+    if len(fields) != 2 or not all(f.isdecimal() for f in fields) or not any(map(int, fields)):
+        raise UsageError(f"--source-mix must be two colon-separated integers with a positive total, got {text!r}")
+    return int(fields[0]), int(fields[1])
 
 
 def _load(what: str, loader, path: str):
@@ -191,17 +188,15 @@ def _cmd_verify(args) -> int:
 def _cmd_emit(args) -> int:
     if args.per_task < 1:
         raise UsageError(f"--per-task must be at least 1, got {args.per_task}")
-    scale_mix, source_mix = _parse_mix(args.scale_mix, 3), _parse_mix(args.source_mix, 2)
+    source_mix = _parse_source_mix(args.source_mix)
     real_scales = {
-        scale for _, _, scale, source in plan_assignments(args.per_task, args.seed, scale_mix, source_mix)
-        if source == "real"
+        scale for _, _, scale, source in plan_assignments(args.per_task, args.seed, source_mix) if source == "real"
     }
     summary = emit_corpus(
         per_task=args.per_task,
         master_seed=args.seed,
         outdir=args.out,
         pool=_load_pool(args.pool, real_scales),
-        scale_mix=scale_mix,
         source_mix=source_mix,
         jobs=args.jobs,
         write_images=not args.dry_run,
@@ -411,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit", help="emit the QA corpus (manifest + images)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--per-task", dest="per_task", type=int, default=200)
-    p.add_argument("--scale-mix", dest="scale_mix", default="1:2:1")
     p.add_argument("--source-mix", dest="source_mix", default="1:1")
     p.add_argument("--pool")
     p.add_argument("--jobs", type=int, default=1)

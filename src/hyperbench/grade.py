@@ -253,9 +253,9 @@ def _check_certificate_row(where: str, spec: dict, task: str) -> None:
 
 def index_manifest(manifest_rows) -> dict[str, dict]:
     """The manifest rows by sample id; ValueError naming the first row that
-    lacks a key grading reads, names an unknown task or format, holds a
-    certificate graph or params grading cannot use, or repeats an earlier
-    row's sample id."""
+    lacks a key grading reads, names an unknown task or format, holds an
+    answer kind other than its task's or a certificate graph or params
+    grading cannot use, or repeats an earlier row's sample id."""
     by_id: dict[str, dict] = {}
     for n, row in enumerate(manifest_rows, 1):
         row = row if isinstance(row, dict) else {}
@@ -274,6 +274,9 @@ def index_manifest(manifest_rows) -> dict[str, dict]:
         for key, names in _AXES:
             if row[key] not in names:
                 raise ValueError(f"{where} has unknown {key} {row[key]!r}")
+        kind = task_spec(row["task"]).kind
+        if spec["kind"] != kind:
+            raise ValueError(f"{where} has answer_spec.kind {spec['kind']!r}, but {row['task']} answers {kind!r}")
         if certificate:
             _check_certificate_row(where, spec, row["task"])
         if sid in by_id:

@@ -194,6 +194,17 @@ def test_emit_corpus_reproducible(tmp_path):
     assert a != d
 
 
+def test_emit_corpus_images_do_not_depend_on_jobs(tmp_path):
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        emit_corpus(per_task=1, master_seed=8, outdir=out, jobs=jobs)
+        svgs = {path.name: path.read_bytes() for path in (out / "images").glob("*.svg")}
+        outputs.append(((out / "manifest.jsonl").read_bytes(), svgs))
+    assert len(outputs[0][1]) == len(TASKS) * len(ALL_COMBOS)
+    assert outputs[0] == outputs[1]
+
+
 def test_emit_corpus_dry_run_skips_images(tmp_path):
     emit_corpus(per_task=1, master_seed=3, outdir=tmp_path, write_images=False)
     assert not list((tmp_path / "images").glob("*.svg"))

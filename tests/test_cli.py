@@ -4,7 +4,7 @@ import time
 import pytest
 
 from hyperbench import make_meta, read_jsonl, save_json
-from hyperbench.bench import sample_rows
+from hyperbench.bench import plan_assignments, sample_rows
 from hyperbench.cli import main
 from hyperbench.grade import canonical_answer_text, corrupted_answer_text
 
@@ -240,9 +240,19 @@ def test_emit_grade_prm_pipeline(tmp_path, capsys):
     assert (prm_out / "prm.jsonl").is_file()
 
 
-def test_emit_bad_mix_is_usage_error(tmp_path):
+def test_emit_verbose_logs_each_meta_in_order(tmp_path, capsys):
+    expected = [f"meta {task}-{idx:04d} ({scale}/{source})" for task, idx, scale, source in plan_assignments(1, 4)]
+    for jobs in ("1", "2"):
+        assert main(["emit", "--seed", "4", "--per-task", "1", "--jobs", jobs, "--verbose", "--dry-run",
+                     "--out", str(tmp_path / jobs)]) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == expected
+
+
+@pytest.mark.parametrize("mix", ["1:2:3", "0:0", "a:1", "\u00b2:1"])  # the last is a digit int() rejects
+def test_emit_bad_mix_is_usage_error(tmp_path, capsys, mix):
     assert main(["emit", "--seed", "1", "--per-task", "1", "--out", str(tmp_path),
-                 "--scale-mix", "1:2"]) == 2
+                 "--source-mix", mix]) == 2
+    assert "--source-mix must be two colon-separated integers" in capsys.readouterr().err
 
 
 def test_out_defaults_to_env(tmp_path, monkeypatch, capsys):
@@ -312,7 +322,9 @@ def test_grade_bad_responses_are_usage_errors(tmp_path, vc_manifest, capsys, cmd
 
 
 @pytest.mark.parametrize("cmd", ["grade", "prm"])
-@pytest.mark.parametrize("case", ["malformed_line", "empty_row", "no_answer_spec", "unknown_format", "repeated_id"])
+@pytest.mark.parametrize(
+    "case", ["malformed_line", "empty_row", "no_answer_spec", "unknown_format", "repeated_id", "kind_mismatch"]
+)
 def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, cmd, case):
     manifest, rows = vc_manifest
     sid = rows[0]["sample_id"]
@@ -323,6 +335,8 @@ def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, 
         lines[0] = json.dumps({**rows[0], "text_format": "Nope"})
     elif case == "repeated_id":
         lines.append(json.dumps({**rows[0], "answer_spec": {**rows[0]["answer_spec"], "value": 999}}))
+    elif case == "kind_mismatch":
+        lines[0] = json.dumps({**rows[0], "answer_spec": {**rows[0]["answer_spec"], "kind": "yes_no"}})
     else:
         lines.append('{"sample_id": ' if case == "malformed_line" else "{}")
     manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -334,6 +348,7 @@ def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, 
         "no_answer_spec": f"manifest row 1 ({sid}) lacks answer_spec\n",
         "unknown_format": f"manifest row 1 ({sid}) has unknown text_format 'Nope'\n",
         "repeated_id": f"manifest row {len(rows) + 1} ({sid}) repeats the sample id of an earlier row\n",
+        "kind_mismatch": f"manifest row 1 ({sid}) has answer_spec.kind 'yes_no', but VC answers 'count'\n",
     }[case]
     captured = capsys.readouterr()
     assert captured.out == ""
