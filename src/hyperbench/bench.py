@@ -13,6 +13,7 @@ this one; the parent appends the encoded lines in emission order.
 from __future__ import annotations
 
 import json
+import os
 import random
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -450,17 +451,25 @@ def emit_corpus(
     assignments = plan_assignments(per_task, master_seed, source_mix)
     context = (master_seed, pool, images_dir if write_images else None)
     manifest_path = outdir / "manifest.jsonl"
-    with ExitStack() as stack:
-        if jobs > 1:
-            ex = stack.enter_context(ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=context))
-            emitted = ex.map(_emit_meta, assignments, chunksize=8)
-        else:
-            emitted = map(_emit_meta, assignments, repeat(context))
-        mf = stack.enter_context(open(manifest_path, "w", encoding="utf-8"))
-        for (task, idx, scale, source), lines in zip(assignments, emitted):
-            if log:
-                log(f"meta {task}-{idx:04d} ({scale}/{source})")
-            mf.write(lines)
+    # written under a temporary name and renamed over the old manifest only
+    # when complete, so that an emit that stops part-way leaves it intact
+    partial_path = outdir / "manifest.jsonl.tmp"
+    try:
+        with ExitStack() as stack:
+            if jobs > 1:
+                ex = stack.enter_context(ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=context))
+                emitted = ex.map(_emit_meta, assignments, chunksize=8)
+            else:
+                emitted = map(_emit_meta, assignments, repeat(context))
+            mf = stack.enter_context(open(partial_path, "w", encoding="utf-8"))
+            for (task, idx, scale, source), lines in zip(assignments, emitted):
+                if log:
+                    log(f"meta {task}-{idx:04d} ({scale}/{source})")
+                mf.write(lines)
+        os.replace(partial_path, manifest_path)
+    except BaseException:
+        partial_path.unlink(missing_ok=True)
+        raise
     samples = len(assignments) * len(ALL_COMBOS)  # one row, and with images one SVG, per combo
     return {
         "metas": len(assignments),

@@ -13,11 +13,12 @@ import json
 import os
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import generate as gen
 from .bench import TASK_TABLE, emit_corpus, plan_assignments
-from .core import Hypergraph, load_json, read_jsonl, save_json
+from .core import Hypergraph, iter_jsonl, load_json, save_json
 from .grade import (
     CERTIFICATE_KINDS,
     GradeOptions,
@@ -25,6 +26,7 @@ from .grade import (
     build_prm,
     check_certificate,
     grade_responses,
+    index_manifest,
     parse_answer,
     write_grades,
     write_prm,
@@ -206,23 +208,32 @@ def _cmd_emit(args) -> int:
     return 0
 
 
-def _read_rows(path: str, what: str) -> list[dict]:
+def _open_rows(stack: ExitStack, path: str, what: str):
+    """The records of a JSONL file, streamed; the file is opened now, so that
+    a missing one is a usage error here rather than at the first record."""
     try:
-        return read_jsonl(path)
+        return iter_jsonl(stack.enter_context(open(path, encoding="utf-8")))
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 def _grade_files(args):
-    """The manifest rows and the grade records of the responses file."""
-    manifest = _read_rows(args.manifest, "manifest")
-    responses = _read_rows(args.responses, "responses")
-    try:
-        return manifest, grade_responses(manifest, responses, GradeOptions(lenient=not args.strict, marker=args.marker))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    """The slim manifest rows and the grade records of the responses, both
+    files streamed; says on stderr how many manifest samples have no
+    response."""
+    options = GradeOptions(lenient=not args.strict, marker=args.marker)
+    with ExitStack() as stack:
+        manifest = _open_rows(stack, args.manifest, "manifest")
+        responses = _open_rows(stack, args.responses, "responses")
+        try:
+            index = index_manifest(manifest)
+            records = grade_responses(index, responses, options)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    unanswered = len(index.rows) - len(records)
+    if unanswered:
+        print(f"{unanswered} manifest samples have no response", file=sys.stderr)
+    return index.rows.values(), records
 
 
 def _cmd_grade(args) -> int:

@@ -201,18 +201,23 @@ def load_json(path) -> Hypergraph:
         return loads(fh.read())
 
 
+def iter_jsonl(fh):
+    """The records of an open JSONL file, one at a time; ValueError naming the
+    first malformed line by the file's name and line number."""
+    for lineno, line in enumerate(fh, 1):
+        line = line.strip()
+        if line:
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{fh.name}:{lineno}: malformed JSON line: {exc}") from None
+            yield record
+
+
 def read_jsonl(path) -> list[dict]:
     """The records of a JSONL file; ValueError naming the first malformed line."""
-    rows = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    rows.append(json.loads(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
-    return rows
+        return list(iter_jsonl(fh))
 
 
 def write_jsonl(path, records) -> None:

@@ -32,7 +32,7 @@ class GradeOptions:
 DEFAULT_OPTIONS = GradeOptions()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedAnswer:
     kind: str
     value: object
@@ -43,7 +43,7 @@ class ParsedAnswer:
         return self.kind == "failure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradeRecord:
     sample_id: str
     parsed: ParsedAnswer
@@ -205,8 +205,13 @@ def check_certificate(kind: str, h, value, params: dict) -> tuple[bool, tuple[st
         return False, ("invalid_ids",)
 
 
-def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
-    """Decide correctness of a parsed answer against a manifest row."""
+def judge(row: dict, parsed: ParsedAnswer, graphs: dict | None = None) -> tuple[bool, tuple[str, ...]]:
+    """Decide correctness of a parsed answer against a manifest row.
+
+    ``graphs`` memoizes certificate graphs by answer_spec object, so that
+    rows sharing one spec (as :func:`index_manifest` makes them) build one
+    graph between them.
+    """
     spec = row["answer_spec"]
     kind = spec["kind"]
     if parsed.failed:
@@ -214,15 +219,24 @@ def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
     if parsed.kind != kind:
         return False, parsed.flags + ("kind_mismatch",)
     if kind in CERTIFICATE_KINDS:
-        try:
-            h = from_json_dict(spec["graph"])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValueError(f"manifest row {row['sample_id']} has an answer_spec.graph that does not build: {exc}") from None
+        h = _certificate_graph(row, {} if graphs is None else graphs)
         ok, extra = check_certificate(kind, h, parsed.value, spec["params"])
         return ok, parsed.flags + extra
     if kind == "vertex_set":
         return sorted(parsed.value) == sorted(spec["value"]), parsed.flags
     return parsed.value == spec["value"], parsed.flags
+
+
+def _certificate_graph(row: dict, graphs: dict):
+    spec = row["answer_spec"]
+    if id(spec) not in graphs:
+        try:
+            h = from_json_dict(spec["graph"])
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"manifest row {row['sample_id']} has an answer_spec.graph that does not build: {exc}") from None
+        # the entry holds its spec, so the id it is keyed by cannot be reused
+        graphs[id(spec)] = (spec, h)
+    return graphs[id(spec)][1]
 
 
 # what grading reads of each manifest row: its keys and the answer_spec's
@@ -231,7 +245,10 @@ def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
 _ROW_KEYS = ("sample_id", "meta_id", "task", "text_format", "visual_format", "prompt", "answer_spec")
 # the row keys accuracy is tallied over (one accuracy.csv section each), with
 # the names each may hold
-_AXES = (("task", TASKS), ("text_format", TEXT_FORMATS), ("visual_format", VISUAL_FORMATS))
+_AXES = tuple(
+    (key, {name: name for name in names})
+    for key, names in (("task", TASKS), ("text_format", TEXT_FORMATS), ("visual_format", VISUAL_FORMATS))
+)
 
 
 def _check_certificate_row(where: str, spec: dict, task: str) -> None:
@@ -251,12 +268,40 @@ def _check_certificate_row(where: str, spec: dict, task: str) -> None:
         raise ValueError(f"{where} has equal answer_spec.params s and t")
 
 
-def index_manifest(manifest_rows) -> dict[str, dict]:
-    """The manifest rows by sample id; ValueError naming the first row that
-    lacks a key grading reads, names an unknown task or format, holds an
-    answer kind other than its task's or a certificate graph or params
-    grading cannot use, or repeats an earlier row's sample id."""
-    by_id: dict[str, dict] = {}
+def _shared(kept: list, value):
+    """The value in ``kept`` equal to ``value``, or else ``value`` itself,
+    appended to ``kept``."""
+    for other in kept:
+        if other == value:
+            return other
+    kept.append(value)
+    return value
+
+
+@dataclass
+class ManifestIndex:
+    """What grading reads of a manifest: a slim copy of each row by sample id,
+    in manifest order, and the certificate graphs :func:`judge` has built."""
+
+    rows: dict[str, dict]
+    graphs: dict
+
+
+def index_manifest(manifest_rows) -> ManifestIndex:
+    """Check and index manifest rows, which may be streamed: each row is
+    checked as it is read, and only a slim copy of it is kept, with the keys
+    of ``_ROW_KEYS`` but the prompt, which only HO-Neigh rows keep (they are
+    the router input :func:`build_prm` reads).  Rows of one meta with equal
+    answer specs share one spec object, and equal prompts one string.
+
+    ValueError names the first row that lacks a key grading reads, names an
+    unknown task or format, holds an answer kind other than its task's or a
+    certificate graph or params grading cannot use, or repeats an earlier
+    row's sample id.
+    """
+    index = ManifestIndex({}, {})
+    by_id = index.rows
+    metas: dict[str, tuple] = {}  # meta id -> (it, the distinct answer specs and prompts of its rows)
     for n, row in enumerate(manifest_rows, 1):
         row = row if isinstance(row, dict) else {}
         sid = row.get("sample_id")
@@ -271,9 +316,13 @@ def index_manifest(manifest_rows) -> dict[str, dict]:
             raise ValueError(f"{where} lacks {', '.join(missing)}")
         if not isinstance(sid, str):
             raise ValueError(f"{where} has no string sample_id")
+        slim = {"sample_id": sid, "meta_id": row["meta_id"]}
         for key, names in _AXES:
-            if row[key] not in names:
+            # keep the axis's own name string, not the row's equal copy, so that rows share it
+            name = names.get(row[key]) if isinstance(row[key], str) else None
+            if name is None:
                 raise ValueError(f"{where} has unknown {key} {row[key]!r}")
+            slim[key] = name
         kind = task_spec(row["task"]).kind
         if spec["kind"] != kind:
             raise ValueError(f"{where} has answer_spec.kind {spec['kind']!r}, but {row['task']} answers {kind!r}")
@@ -281,19 +330,28 @@ def index_manifest(manifest_rows) -> dict[str, dict]:
             _check_certificate_row(where, spec, row["task"])
         if sid in by_id:
             raise ValueError(f"{where} repeats the sample id of an earlier row")
-        by_id[sid] = row
-    return by_id
+        specs, prompts = [], []
+        if isinstance(row["meta_id"], str):
+            # the rows of a meta share its id string and each distinct spec and prompt
+            slim["meta_id"], specs, prompts = metas.setdefault(row["meta_id"], (row["meta_id"], [], []))
+        slim["answer_spec"] = _shared(specs, spec)
+        if slim["text_format"] == "HO-Neigh":
+            slim["prompt"] = _shared(prompts, row["prompt"])
+        by_id[sid] = slim
+    return index
 
 
 def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OPTIONS) -> list[GradeRecord]:
-    """Grade ``{"sample_id", "response"}`` responses against a manifest.
+    """Grade ``{"sample_id", "response"}`` responses against a manifest, given
+    as rows or as the :class:`ManifestIndex` of them; either may be streamed.
 
     The text may be under ``raw_text`` instead of ``response``.  A response
     without either, a repeated sample id or an unknown one is a ValueError,
     as is a manifest row that :func:`index_manifest` rejects or a
     certificate graph that does not build.
     """
-    by_id = index_manifest(manifest_rows)
+    index = manifest_rows if isinstance(manifest_rows, ManifestIndex) else index_manifest(manifest_rows)
+    by_id = index.rows
     records = []
     seen: dict[str, None] = {}  # as a set, but a fifth of the memory at corpus scale
     unknown: list[str] = []
@@ -306,13 +364,15 @@ def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OP
             raise ValueError(f"response {n} ({sid}) has neither a 'response' nor a 'raw_text' string")
         if sid in seen:
             raise ValueError(f"sample id {sid} has more than one response (response {n})")
-        seen[sid] = None
         row = by_id.get(sid)
+        if row is not None:
+            sid = row["sample_id"]  # the index's copy, so that the response's is not kept
+        seen[sid] = None
         if row is None:
             unknown.append(sid)
         elif not unknown:  # once an id is unknown the run fails; grade no further
             parsed = parse_answer(row["task"], text, options)
-            correct, flags = judge(row, parsed)
+            correct, flags = judge(row, parsed, index.graphs)
             records.append(GradeRecord(sid, parsed, correct, flags))
     if unknown:
         raise ValueError(f"responses reference unknown sample ids: {unknown[:10]}")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hyperbench import emit_corpus, make_meta, read_jsonl
+from hyperbench import bench, emit_corpus, make_meta, read_jsonl
 from hyperbench.bench import (
     ALL_COMBOS,
     TASK_SPECS,
@@ -213,3 +213,23 @@ def test_emit_corpus_dry_run_skips_images(tmp_path):
 def test_emit_rejects_bad_args(tmp_path):
     with pytest.raises(ValueError):
         emit_corpus(per_task=0, master_seed=1, outdir=tmp_path)
+
+
+@pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
+def test_interrupted_emit_leaves_the_old_manifest(tmp_path, monkeypatch, fault):
+    emit_corpus(per_task=1, master_seed=3, outdir=tmp_path, write_images=False)
+    old = (tmp_path / "manifest.jsonl").read_bytes()
+    made = []
+
+    def make_meta_then_fail(*args):
+        if len(made) == 5:
+            raise fault("stopped part-way")
+        made.append(args)
+        return make_meta(*args)
+
+    monkeypatch.setattr(bench, "make_meta", make_meta_then_fail)
+    with pytest.raises(fault):
+        emit_corpus(per_task=1, master_seed=4, outdir=tmp_path, write_images=False)
+    assert len(made) == 5
+    assert (tmp_path / "manifest.jsonl").read_bytes() == old
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["manifest.jsonl"]

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import time
 
@@ -343,7 +344,7 @@ def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, 
     code, out = _grade(tmp_path, manifest, [json.dumps({"sample_id": sid, "response": "Ans: 3"})], cmd)
     assert code == 2
     message = {
-        "malformed_line": f"manifest.jsonl:{len(rows) + 1}: malformed JSON line",
+        "malformed_line": f"error: {manifest}:{len(rows) + 1}: malformed JSON line",
         "empty_row": f"manifest row {len(rows) + 1} lacks sample_id, meta_id, task,",
         "no_answer_spec": f"manifest row 1 ({sid}) lacks answer_spec\n",
         "unknown_format": f"manifest row 1 ({sid}) has unknown text_format 'Nope'\n",
@@ -393,6 +394,33 @@ def test_grade_unusable_certificate_row_is_usage_error(tmp_path, capsys, cmd, ca
     assert sid in captured.err
     assert len(captured.err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+def test_grade_missing_responses(tmp_path, vc_manifest, capsys, cmd):
+    manifest, _ = vc_manifest
+    out = tmp_path / "out"
+    missing = tmp_path / "r.jsonl"
+    assert main([cmd, "--manifest", str(manifest), "--responses", str(missing), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: responses not found: {missing}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+def test_grade_reports_unanswered_samples(tmp_path, vc_manifest, capsys, cmd):
+    manifest, rows = vc_manifest
+    lines = [json.dumps({"sample_id": r["sample_id"], "response": canonical_answer_text(r)}) for r in rows]
+    assert _grade(tmp_path / "all", manifest, lines, cmd)[0] == 0
+    complete = capsys.readouterr()
+    assert "no response" not in complete.err
+    # prm also warns, as before, that the meta's combos are not all graded
+    with pytest.warns(UserWarning, match="combos ungraded") if cmd == "prm" else contextlib.nullcontext():
+        assert _grade(tmp_path / "some", manifest, lines[5:], cmd)[0] == 0
+    partial = capsys.readouterr()
+    assert "5 manifest samples have no response\n" in partial.err
+    assert json.loads(partial.out).keys() == json.loads(complete.out).keys()
 
 
 def test_grade_outputs_do_not_depend_on_response_order(tmp_path, vc_manifest):

@@ -3,8 +3,8 @@ import warnings
 
 import pytest
 
-from hyperbench import aggregate, build_prm, emit_corpus, grade_responses, read_jsonl
-from hyperbench.bench import ALL_COMBOS, TASKS
+from hyperbench import aggregate, build_prm, emit_corpus, grade, grade_responses, make_meta, read_jsonl
+from hyperbench.bench import ALL_COMBOS, TASKS, sample_rows
 from hyperbench.core import to_json_dict
 from hyperbench.grade import (
     GradeOptions,
@@ -367,3 +367,43 @@ def test_corrupted_osp_none():
 def test_kind_mismatch_is_flagged():
     row = _row("VC", "flow", 3)  # the answer kind disagrees with the task's
     assert judge(row, parse_answer("VC", "Ans: 3")) == (False, ("kind_mismatch",))
+
+
+# -- the certificate graph memo --------------------------------------------
+
+
+def test_row_with_its_own_graph_is_judged_against_it():
+    rows = sample_rows(make_meta("3-CL", 0, "small", "synthetic", 5))
+    coloring = parse_answer("3-CL", canonical_answer_text(rows[0])).value
+    u, v = next((u, v) for u in coloring for v in coloring if u < v and coloring[u] == coloring[v])
+    # a hyperedge the shared coloring leaves monochromatic, on one middle row only
+    odd = 10
+    graph = rows[odd]["answer_spec"]["graph"]
+    rows[odd] = {**rows[odd], "answer_spec": {**rows[odd]["answer_spec"], "graph": {**graph, "edges": [*graph["edges"], [u, v]]}}}
+    records = grade_responses(rows, [{"sample_id": r["sample_id"], "response": canonical_answer_text(r)} for r in rows])
+    assert [rec.sample_id for rec in records if not rec.correct] == [rows[odd]["sample_id"]]
+
+
+def test_each_certificate_meta_builds_one_graph(tmp_path, monkeypatch):
+    emit_corpus(per_task=2, master_seed=21, outdir=tmp_path, write_images=False)
+    rows = read_jsonl(tmp_path / "manifest.jsonl")
+    responses = [{"sample_id": r["sample_id"], "response": canonical_answer_text(r)} for r in rows]
+    builds = []
+    real = grade.from_json_dict
+    monkeypatch.setattr(grade, "from_json_dict", lambda obj: builds.append(obj) or real(obj))
+    records = grade_responses(rows, responses)
+    assert all(rec.correct for rec in records)
+    certificate_metas = {r["meta_id"] for r in rows if r["answer_spec"]["kind"] in grade.CERTIFICATE_KINDS}
+    assert len(certificate_metas) == 6  # 3-CL, SHC and HHM, two metas each
+    assert len(builds) == len(certificate_metas)
+
+
+def test_index_keeps_slim_rows_sharing_one_spec_per_meta():
+    rows = sample_rows(make_meta("VC", 0, "small", "synthetic", 3))
+    index = grade.index_manifest(json.loads(json.dumps(row)) for row in rows)  # streamed, one decode per row
+    slim = list(index.rows.values())
+    assert [r["sample_id"] for r in slim] == [r["sample_id"] for r in rows]
+    assert all(r["answer_spec"] is slim[0]["answer_spec"] for r in slim)
+    assert all(r["answer_spec"] == rows[0]["answer_spec"] for r in slim)
+    assert {r["text_format"] for r in slim if "prompt" in r} == {"HO-Neigh"}
+    assert set(slim[0]) == {"sample_id", "meta_id", "task", "text_format", "visual_format", "answer_spec"}
