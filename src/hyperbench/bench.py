@@ -8,6 +8,15 @@ a 1:1 synthetic:real source mix, and writes the SVGs and a JSONL manifest
 (keys sorted, no timestamps, byte-stable for a fixed seed).  One function
 makes, renders and encodes each meta, in ``jobs`` worker processes or in
 this one; the parent appends the encoded lines in emission order.
+
+Each distinct byte is made once.  A meta's 35 rows share its answer spec and
+the 5 rows of a text format share its prompt, so each of those is encoded
+once and the rows are joined through one line template.  Each (meta, visual)
+SVG is written once, at its first sample path; the other six paths are hard
+links to it, or copies where the filesystem refuses a link.  With ``jobs`` >
+1 the metas go to the workers in chunks of ``_CHUNK``, at most
+``_CHUNKS_PER_JOB`` chunks a worker ahead of the parent, so that results do
+not queue up in the parent behind a slow meta.
 """
 
 from __future__ import annotations
@@ -15,9 +24,11 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
@@ -403,12 +414,68 @@ def plan_assignments(per_task: int, master_seed: int, source_mix=(1, 1)):
     return out
 
 
+# a manifest line: the fields of a sample_rows row in sorted key order, as
+# json.dumps(row, sort_keys=True) writes them
+_ROW_LINE = (
+    '{"answer_spec": %s, "image_path": %s, "level": %d, "meta_id": %s, "prompt": %s, "sample_id": %s, '
+    '"scale": %s, "source": %s, "task": %s, "text_format": %s, "visual_format": %s}\n'
+)
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+
+def _encode_rows(rows: list[dict]) -> str:
+    """``sample_rows(meta)`` as manifest lines: each is ``json.dumps(row,
+    sort_keys=True)`` and a newline.  The rows share one answer spec and the
+    rows of a text format one prompt, so each of those is encoded once, not
+    once per row."""
+    spec = json.dumps(rows[0]["answer_spec"], sort_keys=True)
+    prompts: dict[str, str] = {}
+    lines = []
+    for row in rows:
+        prompt = prompts.get(row["prompt"])
+        if prompt is None:
+            prompt = prompts[row["prompt"]] = _json_str(row["prompt"])
+        lines.append(_ROW_LINE % (
+            spec,
+            _json_str(row["image_path"]),
+            row["level"],
+            _json_str(row["meta_id"]),
+            prompt,
+            _json_str(row["sample_id"]),
+            _json_str(row["scale"]),
+            _json_str(row["source"]),
+            _json_str(row["task"]),
+            _json_str(row["text_format"]),
+            _json_str(row["visual_format"]),
+        ))
+    return "".join(lines)
+
+
+def _write_svgs(meta: MetaProblem, images_dir: Path) -> None:
+    """Each of the meta's SVGs, written once at its first sample path and
+    hard-linked at the other six, or copied there where a link fails."""
+    for visual_fmt in VISUAL_FORMATS:
+        svg = render_meta_svg(meta, visual_fmt)
+        first, *others = (images_dir / f"{meta.id}__{text_fmt}__{visual_fmt}.svg" for text_fmt in TEXT_FORMATS)
+        first.write_text(svg, encoding="utf-8")
+        for path in others:
+            path.unlink(missing_ok=True)
+            try:
+                os.link(first, path)
+            except OSError:
+                path.write_text(svg, encoding="utf-8")
+
+
 _WORKER_CONTEXT = None  # a worker process's (master_seed, pool, images_dir), set once by _init_worker
+_CHUNK = 8  # metas sent to a worker at once
+_CHUNKS_PER_JOB = 4  # chunks submitted and not yet consumed, per worker
 
 
 def _init_worker(*context) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
+    # Ctrl-C reaches the whole process group; the parent alone handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _emit_meta(assignment, context=None) -> str:
@@ -418,12 +485,30 @@ def _emit_meta(assignment, context=None) -> str:
     master_seed, pool, images_dir = context or _WORKER_CONTEXT
     meta = make_meta(*assignment, master_seed, pool)
     if images_dir is not None:
-        for visual_fmt in VISUAL_FORMATS:
-            svg = render_meta_svg(meta, visual_fmt)
-            for text_fmt in TEXT_FORMATS:
-                path = images_dir / f"{meta.id}__{text_fmt}__{visual_fmt}.svg"
-                path.write_text(svg, encoding="utf-8")
-    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in sample_rows(meta))
+        _write_svgs(meta, images_dir)
+    return _encode_rows(sample_rows(meta))
+
+
+def _emit_chunk(assignments) -> list[str]:
+    return [_emit_meta(assignment) for assignment in assignments]
+
+
+def _emit_in_pool(ex: ProcessPoolExecutor, assignments, jobs: int):
+    """``_emit_meta``'s results in order, made by ``ex`` in chunks of
+    ``_CHUNK`` metas with at most ``_CHUNKS_PER_JOB * jobs`` chunks pending;
+    the chunks still pending are cancelled when the generator is closed or
+    interrupted."""
+    pending = deque()
+    try:
+        for start in range(0, len(assignments), _CHUNK):
+            if len(pending) == _CHUNKS_PER_JOB * jobs:
+                yield from pending.popleft().result()
+            pending.append(ex.submit(_emit_chunk, assignments[start:start + _CHUNK]))
+        while pending:
+            yield from pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def emit_corpus(
@@ -458,7 +543,9 @@ def emit_corpus(
         with ExitStack() as stack:
             if jobs > 1:
                 ex = stack.enter_context(ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=context))
-                emitted = ex.map(_emit_meta, assignments, chunksize=8)
+                # closed before the pool shuts down, so that a failed or
+                # interrupted emit waits only for the chunks already running
+                emitted = stack.enter_context(closing(_emit_in_pool(ex, assignments, jobs)))
             else:
                 emitted = map(_emit_meta, assignments, repeat(context))
             mf = stack.enter_context(open(partial_path, "w", encoding="utf-8"))

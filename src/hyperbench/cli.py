@@ -1,9 +1,9 @@
 """Command-line front end: generate | render | solve | verify | emit | grade | prm | selfcheck.
 
 Exit codes: 0 success, 1 graded failure (invalid certificate, failed
-selfcheck), 2 usage error.  All randomness flows from --seed; repeated
-invocations with the same flags produce identical bytes.  HYPERBENCH_OUT
-provides the default output directory.
+selfcheck), 2 usage error, 130 interrupted (Ctrl-C).  All randomness flows
+from --seed; repeated invocations with the same flags produce identical
+bytes.  HYPERBENCH_OUT provides the default output directory.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ class UsageError(Exception):
 _CLI_TASKS = {spec.id.lower().replace("-", ""): spec for spec in TASK_TABLE}
 _VERIFY_TASKS = [name for name, spec in _CLI_TASKS.items() if spec.kind in CERTIFICATE_KINDS]
 _PARAM_FLAGS = {"u": "v"}  # the vertex parameter is spelled --v
+_NAMED_METAS = 10  # skipped metas that prm names on stderr
 
 
 def _default_out() -> str:
@@ -260,7 +261,10 @@ def _cmd_grade(args) -> int:
 
 def _cmd_prm(args) -> int:
     manifest, records = _grade_files(args)
-    pairs = build_prm(records, manifest)
+    pairs, skipped = build_prm(records, manifest)
+    if skipped:
+        named = ", ".join(skipped[:_NAMED_METAS]) + (", ..." if len(skipped) > _NAMED_METAS else "")
+        print(f"{len(skipped)} metas lack graded responses for some combos and were skipped: {named}", file=sys.stderr)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "prm.jsonl"
@@ -468,6 +472,9 @@ def main(argv=None) -> int:
     except gen.GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import warnings
 from dataclasses import dataclass
 
 from .bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS, task_spec
@@ -459,11 +458,11 @@ class PRMPair:
         return f"{self.text_format}+{self.visual_format}"
 
 
-def build_prm(records, manifest_rows) -> list[PRMPair]:
-    """Per meta, the combo(s) with the highest mean accuracy (ties all kept).
-
-    Metas lacking graded records for any of the 35 combos are skipped with a
-    warning.  The router input is the HO-Neigh prompt (rendering + question).
+def build_prm(records, manifest_rows) -> tuple[list[PRMPair], list[str]]:
+    """Per meta, the combo(s) with the highest mean accuracy (ties all kept),
+    and the ids of the metas skipped, in manifest order, because they lack
+    graded records for some of the 35 combos.  The router input is the
+    HO-Neigh prompt (rendering + question).
     """
     combo_hits: dict[str, dict[tuple[str, str], list[int]]] = {}
     prompts: dict[str, str] = {}
@@ -474,10 +473,10 @@ def build_prm(records, manifest_rows) -> list[PRMPair]:
         if row["text_format"] == "HO-Neigh":
             prompts.setdefault(meta_id, row["prompt"])
     pairs: list[PRMPair] = []
+    skipped: list[str] = []
     for meta_id, by_combo in combo_hits.items():
-        missing = [c for c in ALL_COMBOS if c not in by_combo]
-        if missing:
-            warnings.warn(f"meta {meta_id}: {len(missing)} combos ungraded; skipped", stacklevel=2)
+        if any(combo not in by_combo for combo in ALL_COMBOS):
+            skipped.append(meta_id)
             continue
         means = {combo: sum(h) / len(h) for combo, h in by_combo.items()}
         best = max(means.values())
@@ -485,7 +484,7 @@ def build_prm(records, manifest_rows) -> list[PRMPair]:
         degenerate = len(winners) == len(ALL_COMBOS)
         for text_fmt, visual_fmt in winners:
             pairs.append(PRMPair(meta_id, text_fmt, visual_fmt, prompts[meta_id], degenerate))
-    return pairs
+    return pairs, skipped
 
 
 # ---------------------------------------------------------------------------

@@ -435,7 +435,8 @@ def test_criterion_8_prm_construction():
     acc_c = {combo: 0.0 for combo in ALL_COMBOS}  # degenerate: everything loses
     rows = rows_a + rows_b + rows_c
     records = _records(rows_a, acc_a) + _records(rows_b, acc_b) + _records(rows_c, acc_c)
-    pairs = build_prm(records, rows)
+    pairs, skipped = build_prm(records, rows)
+    assert skipped == []
 
     by_meta: dict[str, list] = {}
     for p in pairs:

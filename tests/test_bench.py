@@ -1,7 +1,11 @@
 import collections
+import errno
 import hashlib
 import json
+import os
 import random
+import signal
+from concurrent.futures import Future
 
 import pytest
 
@@ -233,3 +237,123 @@ def test_interrupted_emit_leaves_the_old_manifest(tmp_path, monkeypatch, fault):
     assert len(made) == 5
     assert (tmp_path / "manifest.jsonl").read_bytes() == old
     assert sorted(path.name for path in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+@pytest.mark.parametrize("source", bench.SOURCES)
+@pytest.mark.parametrize("task", TASKS)
+def test_emit_meta_lines_are_json_dumps_of_the_rows(task, source):
+    context = (11, None, None)
+    lines = bench._emit_meta((task, 0, "small", source), context)
+    meta = make_meta(task, 0, "small", source, 11)
+    assert lines == "".join(json.dumps(row, sort_keys=True) + "\n" for row in sample_rows(meta))
+    if task == "ISM":
+        assert '"graph_b": ' in lines
+    if task == "SHC":
+        assert "\\u2229" in lines  # the question's non-ASCII intersection sign, escaped
+
+
+def _image_groups(images):
+    """The 7 paths of each (meta, visual) image."""
+    groups = collections.defaultdict(list)
+    for path in images.glob("*.svg"):
+        meta_id, _, visual = path.stem.split("__")
+        groups[meta_id, visual].append(path)
+    return groups
+
+
+def _svg_bytes(outdir):
+    return {path.name: path.read_bytes() for path in (outdir / "images").glob("*.svg")}
+
+
+def test_emit_hard_links_the_seven_copies_of_an_image(tmp_path):
+    emit_corpus(per_task=1, master_seed=8, outdir=tmp_path, source_mix=(1, 0))
+    groups = _image_groups(tmp_path / "images")
+    assert len(groups) == len(TASKS) * len(VISUAL_FORMATS)
+    for paths in groups.values():
+        assert len(paths) == len(TEXT_FORMATS)
+        assert len({path.stat().st_ino for path in paths}) == 1
+        assert paths[0].stat().st_nlink == len(TEXT_FORMATS)
+
+
+@pytest.mark.parametrize("earlier", ["truncated", "distinct_files"])
+def test_emit_over_an_earlier_output_gives_the_same_svgs(tmp_path, earlier):
+    fresh = tmp_path / "fresh"
+    emit_corpus(per_task=1, master_seed=8, outdir=fresh, source_mix=(1, 0))
+    want = _svg_bytes(fresh)
+    again = tmp_path / "again"
+    emit_corpus(per_task=1, master_seed=9, outdir=again, source_mix=(1, 0))
+    images = again / "images"
+    for path in images.glob("*.svg"):
+        if earlier == "truncated":
+            os.truncate(path, 0)  # cuts all seven links of the image
+        else:  # seven files of their own, as written before the copies were links
+            data = path.read_bytes()
+            path.unlink()
+            path.write_bytes(data)
+    emit_corpus(per_task=1, master_seed=8, outdir=again, source_mix=(1, 0))
+    assert _svg_bytes(again) == want
+    assert all(len({p.stat().st_ino for p in paths}) == 1 for paths in _image_groups(images).values())
+
+
+def test_emit_copies_an_image_where_a_link_fails(tmp_path, monkeypatch):
+    linked = tmp_path / "linked"
+    emit_corpus(per_task=1, master_seed=8, outdir=linked, source_mix=(1, 0))
+
+    def no_links(*args, **kwargs):
+        raise OSError(errno.EPERM, "hard links not supported")
+
+    monkeypatch.setattr(os, "link", no_links)
+    copied = tmp_path / "copied"
+    emit_corpus(per_task=1, master_seed=8, outdir=copied, source_mix=(1, 0))
+    assert _svg_bytes(copied) == _svg_bytes(linked)
+    assert all(path.stat().st_nlink == 1 for path in (copied / "images").glob("*.svg"))
+
+
+def test_parallel_emit_keeps_a_bounded_number_of_chunks_pending(tmp_path, monkeypatch):
+    submitted, consumed = [], []
+
+    class Recorder:
+        """An executor that runs each chunk when it is submitted."""
+
+        def submit(self, fn, chunk):
+            submitted.append(chunk)
+            future = Future()
+            future.set_result([f"{task}-{idx}" for task, idx, *_ in chunk])
+            return future
+
+    assignments = plan_assignments(10, 1)  # 120 metas, 15 chunks
+    for line in bench._emit_in_pool(Recorder(), assignments, jobs=2):
+        consumed.append(line)
+        assert len(submitted) * bench._CHUNK - len(consumed) <= bench._CHUNKS_PER_JOB * 2 * bench._CHUNK
+    assert consumed == [f"{task}-{idx}" for task, idx, *_ in assignments]
+    assert [len(chunk) for chunk in submitted] == [bench._CHUNK] * 15
+
+
+def test_closing_a_parallel_emit_cancels_the_pending_chunks():
+    futures = []
+
+    class FirstChunkOnly:
+        """An executor that runs only the first chunk submitted."""
+
+        def submit(self, fn, chunk):
+            futures.append(Future())
+            if len(futures) == 1:
+                futures[0].set_result(["line"] * len(chunk))
+            return futures[-1]
+
+    emitted = bench._emit_in_pool(FirstChunkOnly(), plan_assignments(10, 1), jobs=1)
+    assert next(emitted) == "line"
+    assert len(futures) == bench._CHUNKS_PER_JOB
+    emitted.close()
+    assert all(future.cancelled() for future in futures[1:])
+
+
+def test_workers_leave_ctrl_c_to_the_parent(monkeypatch):
+    monkeypatch.setattr(bench, "_WORKER_CONTEXT", None)
+    handler = signal.getsignal(signal.SIGINT)
+    try:
+        bench._init_worker(1, None, None)
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert bench._WORKER_CONTEXT == (1, None, None)

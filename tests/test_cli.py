@@ -1,13 +1,19 @@
-import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from hyperbench import make_meta, read_jsonl, save_json
+from hyperbench import bench, make_meta, read_jsonl, save_json
 from hyperbench.bench import plan_assignments, sample_rows
 from hyperbench.cli import main
 from hyperbench.grade import canonical_answer_text, corrupted_answer_text
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -415,12 +421,61 @@ def test_grade_reports_unanswered_samples(tmp_path, vc_manifest, capsys, cmd):
     assert _grade(tmp_path / "all", manifest, lines, cmd)[0] == 0
     complete = capsys.readouterr()
     assert "no response" not in complete.err
-    # prm also warns, as before, that the meta's combos are not all graded
-    with pytest.warns(UserWarning, match="combos ungraded") if cmd == "prm" else contextlib.nullcontext():
-        assert _grade(tmp_path / "some", manifest, lines[5:], cmd)[0] == 0
+    assert _grade(tmp_path / "some", manifest, lines[5:], cmd)[0] == 0
     partial = capsys.readouterr()
-    assert "5 manifest samples have no response\n" in partial.err
+    skipped = ["1 metas lack graded responses for some combos and were skipped: VC-0000\n"] if cmd == "prm" else []
+    assert partial.err.splitlines(keepends=True) == ["5 manifest samples have no response\n", *skipped]
     assert json.loads(partial.out).keys() == json.loads(complete.out).keys()
+
+
+def test_prm_names_the_skipped_metas_in_one_line(tmp_path, capsys):
+    rows = [row for i in range(12) for row in sample_rows(make_meta("VC", i, "small", "synthetic", 3))]
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows), encoding="utf-8")
+    # every meta but the last lacks its Inc-Mat + Cli-Exp response
+    lines = [
+        json.dumps({"sample_id": r["sample_id"], "response": canonical_answer_text(r)})
+        for r in rows
+        if r["meta_id"] == "VC-0011" or (r["text_format"], r["visual_format"]) != ("Inc-Mat", "Cli-Exp")
+    ]
+    code, out = _grade(tmp_path, manifest, lines, "prm")
+    assert code == 0
+    first_ten = ", ".join(f"VC-{i:04d}" for i in range(10))
+    assert capsys.readouterr().err == (
+        "11 manifest samples have no response\n"
+        f"11 metas lack graded responses for some combos and were skipped: {first_ten}, ...\n"
+    )
+    assert {json.loads(line)["meta_id"] for line in (out / "prm.jsonl").read_text().splitlines()} == {"VC-0011"}
+
+
+def test_interrupt_is_one_line_and_exit_130(tmp_path, monkeypatch, capsys):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bench, "make_meta", interrupted)
+    out = tmp_path / "out"
+    assert main(["emit", "--seed", "1", "--per-task", "1", "--dry-run", "--out", str(out)]) == 130
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: interrupted\n")
+    assert list(out.iterdir()) == []  # no manifest.jsonl.tmp left
+
+
+def test_sigint_to_a_parallel_emit_is_one_line_and_exit_130(tmp_path):
+    """SIGINT to the process group, as Ctrl-C in a terminal sends it to the
+    parent and its workers, prints no worker traceback."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    args = ["emit", "--seed", "1", "--per-task", "200", "--jobs", "2", "--dry-run", "--out", str(out)]
+    proc = subprocess.Popen([sys.executable, "-m", "hyperbench.cli", *args], env=env, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    partial = out / "manifest.jsonl.tmp"
+    deadline = time.monotonic() + 60
+    while not (partial.exists() and partial.stat().st_size) and time.monotonic() < deadline:
+        time.sleep(0.02)  # until the workers have sent their first metas
+    os.killpg(proc.pid, signal.SIGINT)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+    assert list(out.iterdir()) == []
 
 
 def test_grade_outputs_do_not_depend_on_response_order(tmp_path, vc_manifest):

@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import pytest
 
@@ -281,7 +280,7 @@ def test_build_prm_unique_winner():
     rows = _combo_rows("VC-0000")
     acc = {combo: 0.5 for combo in ALL_COMBOS}
     acc[("N-Set", "Cli-Exp")] = 1.0
-    pairs = build_prm(_records_with_accuracy(rows, acc), rows)
+    pairs, _ = build_prm(_records_with_accuracy(rows, acc), rows)
     assert len(pairs) == 1
     assert pairs[0].label_combo == "N-Set+Cli-Exp"
     assert pairs[0].meta_id == "VC-0000"
@@ -294,14 +293,14 @@ def test_build_prm_tie_keeps_all():
     acc = {combo: 0.0 for combo in ALL_COMBOS}
     acc[("N-Set", "Cli-Exp")] = 1.0
     acc[("Inc-Mat", "Bi-Inc")] = 1.0
-    pairs = build_prm(_records_with_accuracy(rows, acc), rows)
+    pairs, _ = build_prm(_records_with_accuracy(rows, acc), rows)
     assert {p.label_combo for p in pairs} == {"N-Set+Cli-Exp", "Inc-Mat+Bi-Inc"}
 
 
 def test_build_prm_degenerate_tie_flagged():
     rows = _combo_rows("VC-0000")
     acc = {combo: 0.0 for combo in ALL_COMBOS}
-    pairs = build_prm(_records_with_accuracy(rows, acc), rows)
+    pairs, _ = build_prm(_records_with_accuracy(rows, acc), rows)
     assert len(pairs) == 35
     assert all(p.degenerate_tie for p in pairs)
 
@@ -311,18 +310,16 @@ def test_build_prm_skips_partial_coverage():
     acc = {combo: 1.0 for combo in ALL_COMBOS}
     records = _records_with_accuracy(rows[:35], acc)  # only the first meta
     records.append(GradeRecord(rows[35]["sample_id"], ParsedAnswer("count", 3), True, ()))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pairs = build_prm(records, rows)
+    pairs, skipped = build_prm(records, rows)
     assert {p.meta_id for p in pairs} == {"VC-0000"}
-    assert any("VC-0001" in str(w.message) for w in caught)
+    assert skipped == ["VC-0001"]
 
 
 def test_write_prm(tmp_path):
     rows = _combo_rows("VC-0000")
     acc = {combo: 0.5 for combo in ALL_COMBOS}
     acc[("Adj-Mat", "Sh-Inc")] = 1.0
-    pairs = build_prm(_records_with_accuracy(rows, acc), rows)
+    pairs, _ = build_prm(_records_with_accuracy(rows, acc), rows)
     path = tmp_path / "prm.jsonl"
     write_prm(pairs, path)
     logged = [json.loads(line) for line in path.read_text().splitlines()]
