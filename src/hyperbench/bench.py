@@ -34,7 +34,7 @@ from functools import cache
 from itertools import repeat
 from pathlib import Path
 
-from .core import Hypergraph, to_json_dict
+from .core import Hypergraph, json_str, to_json_dict
 from .generate import (
     GenSpec,
     SCALE_CLASSES,
@@ -420,7 +420,6 @@ _ROW_LINE = (
     '{"answer_spec": %s, "image_path": %s, "level": %d, "meta_id": %s, "prompt": %s, "sample_id": %s, '
     '"scale": %s, "source": %s, "task": %s, "text_format": %s, "visual_format": %s}\n'
 )
-_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 
 def _encode_rows(rows: list[dict]) -> str:
@@ -434,19 +433,19 @@ def _encode_rows(rows: list[dict]) -> str:
     for row in rows:
         prompt = prompts.get(row["prompt"])
         if prompt is None:
-            prompt = prompts[row["prompt"]] = _json_str(row["prompt"])
+            prompt = prompts[row["prompt"]] = json_str(row["prompt"])
         lines.append(_ROW_LINE % (
             spec,
-            _json_str(row["image_path"]),
+            json_str(row["image_path"]),
             row["level"],
-            _json_str(row["meta_id"]),
+            json_str(row["meta_id"]),
             prompt,
-            _json_str(row["sample_id"]),
-            _json_str(row["scale"]),
-            _json_str(row["source"]),
-            _json_str(row["task"]),
-            _json_str(row["text_format"]),
-            _json_str(row["visual_format"]),
+            json_str(row["sample_id"]),
+            json_str(row["scale"]),
+            json_str(row["source"]),
+            json_str(row["task"]),
+            json_str(row["text_format"]),
+            json_str(row["visual_format"]),
         ))
     return "".join(lines)
 

@@ -191,6 +191,8 @@ def _cmd_verify(args) -> int:
 def _cmd_emit(args) -> int:
     if args.per_task < 1:
         raise UsageError(f"--per-task must be at least 1, got {args.per_task}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     source_mix = _parse_source_mix(args.source_mix)
     real_scales = {
         scale for _, _, scale, source in plan_assignments(args.per_task, args.seed, source_mix) if source == "real"

@@ -145,7 +145,7 @@ class Hypergraph:
 
     def vertex_pairs(self) -> tuple[tuple[int, int], ...]:
         """Sorted distinct pairs (u, v), u < v, co-occurring in some hyperedge."""
-        return tuple(self.pair_edges())
+        return tuple(sorted({pair for members in self.edges for pair in itertools.combinations(members, 2)}))
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Vertex sets linked through shared hyperedges, each ascending, ordered
@@ -218,6 +218,9 @@ def read_jsonl(path) -> list[dict]:
     """The records of a JSONL file; ValueError naming the first malformed line."""
     with open(path, encoding="utf-8") as fh:
         return list(iter_jsonl(fh))
+
+
+json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 
 def write_jsonl(path, records) -> None:

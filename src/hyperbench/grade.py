@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS, task_spec
-from .core import from_json_dict, write_jsonl
+from .core import from_json_dict, json_str, write_jsonl
 from .text_repr import TEXT_FORMATS
 from .verify import format_coloring, format_cycle, format_path, verify_3cl, verify_hhm, verify_shc
 from .visual_repr import VISUAL_FORMATS
@@ -563,18 +563,21 @@ def write_grades(records, path) -> None:
     )
 
 
+# a prm.jsonl line: the fields of a pair in sorted key order, as write_jsonl
+# writes them
+_PRM_LINE = '{"input_text": %s, "label_combo": %s, "meta_id": %s}\n'
+
+
 def write_prm(pairs, path) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "meta_id": pair.meta_id,
-                "input_text": pair.input_text,
-                "label_combo": pair.label_combo,
-            }
-            for pair in pairs
-        ),
-    )
+    """One line per pair, keys sorted.  The pairs of a meta share its prompt,
+    so it is encoded once per meta, not once per winning combo."""
+    text = prompt = None
+    with open(path, "w", encoding="utf-8") as fh:
+        for pair in pairs:
+            if pair.input_text is not text:
+                text = pair.input_text
+                prompt = json_str(text)
+            fh.write(_PRM_LINE % (prompt, json_str(pair.label_combo), json_str(pair.meta_id)))
 
 
 def _jsonable(value):

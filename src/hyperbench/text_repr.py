@@ -8,14 +8,16 @@ witnessing hyperedge), N-Set (hyperedges as vertex tuples), Inc-Mat
 
 Every format opens with a header sentence naming all vertices and hyperedges.
 Matrices are canonicalized as rows "[a,b,...]" joined by ",\n" inside outer
-brackets.  Rendering is byte-deterministic.
+brackets.  Rendering is byte-deterministic.  Each renderer names the vertices
+and hyperedges once per call and reads the graph's incidence lists, hyperedges
+and vertex pairs directly.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import Hypergraph, ename, vname
+from .core import Hypergraph
 
 TEXT_FORMATS = ("LO-Inc", "N-Pair", "Adj-Mat", "HO-Neigh", "HO-Inc", "N-Set", "Inc-Mat")
 
@@ -40,112 +42,109 @@ def english_join(items, oxford: bool) -> str:
     return ", ".join(items[:-1]) + f", and {items[-1]}"
 
 
-def _header(h: Hypergraph, name: str, style: str) -> str:
-    vs = english_join([vname(i) for i in range(h.n)], oxford=True)
-    if h.num_edges:
-        es = english_join([ename(j) for j in range(h.num_edges)], oxford=True)
-    else:
-        es = "none"
-    if style == "among":
-        return f"{name} describes a hypergraph among vertices {vs} and among hyperedges {es}."
-    if style == "comma_among":
-        return f"{name} describes a hypergraph among vertices {vs}, and among hyperedges {es}."
-    return f"{name} describes a hypergraph among vertices {vs} and hyperedges {es}."
+def _names(h: Hypergraph) -> tuple[list[str], list[str]]:
+    """The vertex names v0..v{n-1} and hyperedge names e0..e{m-1}."""
+    return [f"v{i}" for i in range(h.n)], [f"e{j}" for j in range(len(h.edges))]
 
 
-def _list_phrase(ids, label=vname, singular: str = "vertex", plural: str = "vertices") -> str:
-    names = [label(i) for i in ids]
+def _header(name: str, vn: list[str], en: list[str], joiner: str) -> str:
+    es = english_join(en, oxford=True) if en else "none"
+    return f"{name} describes a hypergraph among vertices {english_join(vn, oxford=True)}{joiner} hyperedges {es}."
+
+
+def _phrase(names: list[str], singular: str = "vertex", plural: str = "vertices") -> str:
     if not names:
         return f"no {plural}"
-    noun = singular if len(names) == 1 else plural
-    return f"{noun} {english_join(names, oxford=False)}"
+    return (singular if len(names) == 1 else plural) + " " + ", ".join(names)
 
 
 def _matrix_str(rows) -> str:
-    body = ",\n".join("[" + ",".join(str(x) for x in row) + "]" for row in rows)
-    return f"[{body}]"
+    """A matrix of "0"/"1" strings in the canonical form above."""
+    return "[" + ",\n".join("[" + ",".join(row) + "]" for row in rows) + "]"
 
 
 def _render_lo_inc(h: Hypergraph, name: str) -> str:
-    lines = [_header(h, name, "plain"), "In this hypergraph:"]
-    for v in range(h.n):
-        phrase = _list_phrase(h.neighbors(v))
-        lines.append(f"Vertex {vname(v)} is connected to {phrase}.")
+    vn, en = _names(h)
+    nbrs: list[list[str]] = [[] for _ in vn]
+    for a, b in h.vertex_pairs():  # sorted, so each list comes out ascending
+        nbrs[a].append(vn[b])
+        nbrs[b].append(vn[a])
+    lines = [_header(name, vn, en, " and"), "In this hypergraph:"]
+    lines += [f"Vertex {v} is connected to {_phrase(ns)}." for v, ns in zip(vn, nbrs)]
     return "\n".join(lines)
 
 
 def _render_n_pair(h: Hypergraph, name: str) -> str:
-    preamble = (
+    vn, en = _names(h)
+    body = " ".join(f"({vn[a]}, {vn[b]})" for a, b in h.vertex_pairs()) or "none"
+    return (
         "In an undirected hypergraph, (i,j) means that vertex i and vertex j "
         "are connected with an undirected hyperedge. "
-    )
-    pairs = h.vertex_pairs()
-    body = " ".join(f"({vname(a)}, {vname(b)})" for a, b in pairs) if pairs else "none"
-    return (
-        preamble
-        + _header(h, name, "plain")
+        + _header(name, vn, en, " and")
         + f"\nThe connection relation between vertices in {name} are: {body}."
     )
 
 
 def _render_adj_mat(h: Hypergraph, name: str) -> str:
-    mat = [[0] * h.n for _ in range(h.n)]
-    for a, b in h.vertex_pairs():
-        mat[a][b] = 1
-        mat[b][a] = 1
+    vn, en = _names(h)
+    mat = [["0"] * h.n for _ in vn]
+    for members in h.edges:
+        for u in members:
+            row = mat[u]
+            for w in members:
+                row[w] = "1"
+    for v, row in enumerate(mat):  # a vertex is not its own neighbor
+        row[v] = "0"
     return (
-        _header(h, name, "among")
+        _header(name, vn, en, " and among")
         + "\nThe adjacency matrix between the vertices of the hypergraph is\n"
         + _matrix_str(mat)
     )
 
 
 def _render_ho_neigh(h: Hypergraph, name: str) -> str:
-    lines = [_header(h, name, "plain"), "In this hypergraph:"]
-    for v in range(h.n):
-        phrase = _list_phrase(h.incident_edges(v), ename, "hyperedge", "hyperedges")
-        lines.append(f"Vertex {vname(v)} is connected to {phrase}.")
-    for j, members in enumerate(h.edges):
-        phrase = _list_phrase(members)
-        lines.append(f"Hyperedge {ename(j)} is connected to {phrase}.")
+    vn, en = _names(h)
+    lines = [_header(name, vn, en, " and"), "In this hypergraph:"]
+    for v, js in zip(vn, h._incident):
+        lines.append(f"Vertex {v} is connected to {_phrase([en[j] for j in js], 'hyperedge', 'hyperedges')}.")
+    for e, members in zip(en, h.edges):  # a hyperedge has at least two vertices
+        lines.append(f"Hyperedge {e} is connected to vertices {', '.join([vn[u] for u in members])}.")
     return "\n".join(lines)
 
 
 def _render_ho_inc(h: Hypergraph, name: str) -> str:
-    lines = [_header(h, name, "among"), "In this hypergraph:"]
-    for v in range(h.n):
-        clauses = []
-        for j in h.incident_edges(v):
-            others = [u for u in h.edges[j] if u != v]
-            clauses.append(f"to {_list_phrase(others)} with hyperedge {ename(j)}")
-        if clauses:
-            lines.append(f"Vertex {vname(v)} is connected " + ", ".join(clauses) + ".")
-        else:
-            lines.append(f"Vertex {vname(v)} is connected to no vertices.")
+    vn, en = _names(h)
+    clauses: list[list[str]] = [[] for _ in vn]
+    for e, members in zip(en, h.edges):  # ascending edge ids, as each vertex lists them
+        names = [vn[u] for u in members]
+        noun = "to vertex " if len(names) == 2 else "to vertices "
+        for k, u in enumerate(members):
+            clauses[u].append(noun + ", ".join(names[:k] + names[k + 1:]) + " with hyperedge " + e)
+    lines = [_header(name, vn, en, " and among"), "In this hypergraph:"]
+    for v, cs in zip(vn, clauses):
+        lines.append(f"Vertex {v} is connected " + (", ".join(cs) if cs else "to no vertices") + ".")
     return "\n".join(lines)
 
 
 def _render_n_set(h: Hypergraph, name: str) -> str:
-    preamble = (
+    vn, en = _names(h)
+    body = ", ".join("(" + ", ".join([vn[u] for u in e]) + ")" for e in h.edges) or "none"
+    return (
         "In an undirected hypergraph, (i, j, k) means that vertex i, vertex j, "
         "and vertex k are connected with an undirected hyperedge. "
-    )
-    tuples = ", ".join("(" + ", ".join(vname(v) for v in e) + ")" for e in h.edges)
-    body = tuples if tuples else "none"
-    return (
-        preamble
-        + _header(h, name, "comma_among")
+        + _header(name, vn, en, ", and among")
         + f"\nThe hyperedges in {name} are: {body}."
     )
 
 
 def _render_inc_mat(h: Hypergraph, name: str) -> str:
-    mat = [[0] * h.num_edges for _ in range(h.n)]
+    vn, en = _names(h)
+    mat = [["0"] * len(en) for _ in vn]
     for j, members in enumerate(h.edges):
-        for v in members:
-            mat[v][j] = 1
+        for u in members:
+            mat[u][j] = "1"
     return (
-        _header(h, name, "plain")
+        _header(name, vn, en, " and")
         + "\nThe incidence matrix of the hypergraph is\n"
         + _matrix_str(mat)
     )

@@ -189,6 +189,13 @@ def test_emit_per_task_below_one_is_usage_error(tmp_path, capsys, per_task):
     assert capsys.readouterr().err == f"error: --per-task must be at least 1, got {per_task}\n"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_emit_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    assert main(["emit", "--seed", "1", "--per-task", "1", "--jobs", jobs, "--dry-run", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not (tmp_path / "manifest.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "s, t, message",
     [

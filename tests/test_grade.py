@@ -4,11 +4,12 @@ import pytest
 
 from hyperbench import aggregate, build_prm, emit_corpus, grade, grade_responses, make_meta, read_jsonl
 from hyperbench.bench import ALL_COMBOS, TASKS, sample_rows
-from hyperbench.core import to_json_dict
+from hyperbench.core import to_json_dict, write_jsonl
 from hyperbench.grade import (
     GradeOptions,
     GradeRecord,
     ParsedAnswer,
+    PRMPair,
     canonical_answer_text,
     corrupted_answer_text,
     judge,
@@ -330,6 +331,23 @@ def test_write_prm(tmp_path):
             "label_combo": "Adj-Mat+Sh-Inc",
         }
     ]
+
+
+
+def test_write_prm_matches_write_jsonl(tmp_path):
+    # several winners per meta share one prompt; a prompt equal to the last
+    # but another object, non-ASCII text, quotes and newlines
+    prompt = "G describes a hypergraph \u2229 \"e0\"\nAns?"
+    pairs = [
+        PRMPair("SHC-0000", "N-Set", "Bi-Inc", prompt),
+        PRMPair("SHC-0000", "Inc-Mat", "Cli-Exp", prompt),
+        PRMPair("SHC-0001", "LO-Inc", "Enc-Hy", "".join(["G describes ", "\u2229"]), True),
+        PRMPair("VC-0000", "LO-Inc", "Enc-Hy", "other"),
+    ]
+    write_prm(pairs, tmp_path / "prm.jsonl")
+    records = [{"meta_id": p.meta_id, "input_text": p.input_text, "label_combo": p.label_combo} for p in pairs]
+    write_jsonl(tmp_path / "expected.jsonl", records)
+    assert (tmp_path / "prm.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 # -- canonical / corrupted -------------------------------------------------
