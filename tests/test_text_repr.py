@@ -98,10 +98,9 @@ def test_lo_inc_mentions_every_vertex(make_random):
 
 
 # ---------------------------------------------------------------------------
-# differential oracle: the earlier renderers, which named each vertex and
-# hyperedge with vname/ename at every mention and joined each list through
-# _list_phrase/english_join, kept verbatim; render_text must match them byte
-# for byte
+# differential oracle: the plainest reading of each format, naming every
+# mention with vname/ename and joining every list with english_join;
+# render_text must match it byte for byte
 # ---------------------------------------------------------------------------
 
 
