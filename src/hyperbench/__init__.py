@@ -16,7 +16,6 @@ from .grade import aggregate, build_prm, grade_responses
 from .solve import solve_ism, solve_omf, solve_osp
 from .text_repr import parse_honeigh, parse_incmat, parse_nset, render_text
 from .verify import find_hhm, verify_shc
-from .visual_repr import render_svg
 
 __version__ = "0.1.0"
 
@@ -42,3 +41,13 @@ __all__ = [
     "parse_incmat",
     "parse_honeigh",
 ]
+
+
+def __getattr__(name):
+    # render_svg is imported on first use: visual_repr imports numpy, which
+    # nothing else in the package needs at import time
+    if name == "render_svg":
+        from .visual_repr import render_svg
+
+        return render_svg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

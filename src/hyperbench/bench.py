@@ -17,6 +17,12 @@ links to it, or copies where the filesystem refuses a link.  With ``jobs`` >
 1 the metas go to the workers in chunks of ``_CHUNK``, at most
 ``_CHUNKS_PER_JOB`` chunks a worker ahead of the parent, so that results do
 not queue up in the parent behind a slow meta.
+
+Only the SVGs need numpy.  ``VISUAL_FORMATS`` comes from ``core``, and
+``visual_repr`` is imported inside ``render_meta_svg``, where each call looks
+up its renderers, so a dry run never imports numpy.  An image emit imports
+``visual_repr`` before the worker pool forks, so that the workers inherit
+numpy rather than each importing it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import cache
 from itertools import repeat
 from pathlib import Path
 
-from .core import Hypergraph, json_str, to_json_dict
+from .core import VISUAL_FORMATS, Hypergraph, json_str, to_json_dict
 from .generate import (
     GenSpec,
     SCALE_CLASSES,
@@ -51,7 +57,6 @@ from .generate import (
 from .solve import solve_dvc, solve_ism, solve_oec, solve_omf, solve_osp
 from .text_repr import TEXT_FORMATS, render_text
 from .verify import find_3cl, find_hhm, find_hhm_any, find_shc, format_coloring, format_cycle, format_path
-from .visual_repr import VISUAL_FORMATS, render_svg, render_svg_pair
 
 SOURCES = ("synthetic", "real")
 SCALE_MIX = (1, 2, 1)  # small:medium:large, the paper's split
@@ -345,10 +350,12 @@ def prompt_for(meta: MetaProblem, text_fmt: str) -> str:
 
 def render_meta_svg(meta: MetaProblem, visual_fmt: str) -> str:
     """The sample image for a meta (ISM pairs share one canvas and seed)."""
+    from . import visual_repr  # numpy; looked up per call, not bound at import
+
     svg_seed = derive_seed(meta.seed, "svg", visual_fmt)
     if meta.hypergraph_b is not None:
-        return render_svg_pair(meta.hypergraph, meta.hypergraph_b, visual_fmt, seed=svg_seed)
-    return render_svg(meta.hypergraph, visual_fmt, seed=svg_seed)
+        return visual_repr.render_svg_pair(meta.hypergraph, meta.hypergraph_b, visual_fmt, seed=svg_seed)
+    return visual_repr.render_svg(meta.hypergraph, visual_fmt, seed=svg_seed)
 
 
 def answer_spec_row(meta: MetaProblem) -> dict:
@@ -422,30 +429,44 @@ _ROW_LINE = (
 )
 
 
+_FORMAT_JSON = {fmt: json_str(fmt) for fmt in TEXT_FORMATS + VISUAL_FORMATS}
+
+
 def _encode_rows(rows: list[dict]) -> str:
     """``sample_rows(meta)`` as manifest lines: each is ``json.dumps(row,
-    sort_keys=True)`` and a newline.  The rows share one answer spec and the
-    rows of a text format one prompt, so each of those is encoded once, not
-    once per row."""
-    spec = json.dumps(rows[0]["answer_spec"], sort_keys=True)
+    sort_keys=True)`` and a newline.  The rows share the meta's fields and
+    answer spec, which are encoded once into a line template, and the rows
+    of a text format share one prompt, encoded once too."""
+    first = rows[0]
+
+    def fixed(text: str) -> str:  # a field of the template, not a placeholder
+        return text.replace("%", "%%")
+
+    line = _ROW_LINE % (
+        fixed(json.dumps(first["answer_spec"], sort_keys=True)),
+        "%s",
+        first["level"],
+        fixed(json_str(first["meta_id"])),
+        "%s",
+        "%s",
+        fixed(json_str(first["scale"])),
+        fixed(json_str(first["source"])),
+        fixed(json_str(first["task"])),
+        "%s",
+        "%s",
+    )
     prompts: dict[str, str] = {}
     lines = []
     for row in rows:
         prompt = prompts.get(row["prompt"])
         if prompt is None:
             prompt = prompts[row["prompt"]] = json_str(row["prompt"])
-        lines.append(_ROW_LINE % (
-            spec,
+        lines.append(line % (
             json_str(row["image_path"]),
-            row["level"],
-            json_str(row["meta_id"]),
             prompt,
             json_str(row["sample_id"]),
-            json_str(row["scale"]),
-            json_str(row["source"]),
-            json_str(row["task"]),
-            json_str(row["text_format"]),
-            json_str(row["visual_format"]),
+            _FORMAT_JSON[row["text_format"]],
+            _FORMAT_JSON[row["visual_format"]],
         ))
     return "".join(lines)
 
@@ -532,6 +553,7 @@ def emit_corpus(
     images_dir = outdir / "images"
     if write_images:
         images_dir.mkdir(exist_ok=True)
+        from . import visual_repr  # noqa: F401  imported once here, so that forked workers inherit numpy
     assignments = plan_assignments(per_task, master_seed, source_mix)
     context = (master_seed, pool, images_dir if write_images else None)
     manifest_path = outdir / "manifest.jsonl"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import generate as gen
 from .bench import TASK_TABLE, emit_corpus, plan_assignments
-from .core import Hypergraph, iter_jsonl, load_json, save_json
+from .core import VISUAL_FORMATS, Hypergraph, iter_jsonl, load_json, save_json
 from .grade import (
     CERTIFICATE_KINDS,
     GradeOptions,
@@ -34,7 +34,6 @@ from .grade import (
 from .solve import oracle_ism, oracle_omf, oracle_osp, solve_ism, solve_omf, solve_osp
 from .text_repr import TEXT_FORMATS, render_text
 from .verify import verify_3cl, verify_hhm, verify_shc
-from .visual_repr import VISUAL_FORMATS, render_svg, render_svg_pair
 
 
 class UsageError(Exception):
@@ -129,10 +128,12 @@ def _cmd_render(args) -> int:
     if args.format in TEXT_FORMATS:
         text = render_text(h, args.format)
     elif args.format in VISUAL_FORMATS:
+        from . import visual_repr  # numpy, imported only to draw
+
         if args.graph_b:
-            text = render_svg_pair(h, _load_graph(args.graph_b), args.format, seed=args.seed)
+            text = visual_repr.render_svg_pair(h, _load_graph(args.graph_b), args.format, seed=args.seed)
         else:
-            text = render_svg(h, args.format, seed=args.seed)
+            text = visual_repr.render_svg(h, args.format, seed=args.seed)
     else:
         raise UsageError(f"unknown format {args.format!r}")
     if args.out == "-":

@@ -13,6 +13,10 @@ import json
 
 MIN_EDGE_SIZE = 2
 
+# the five visual (SVG) formats, defined here rather than in visual_repr so
+# that the modules that only name them do not import numpy
+VISUAL_FORMATS = ("Enc-Hy", "Bi-Inc", "Sh-Inc", "St-Inc", "Cli-Exp")
+
 
 def vname(i: int) -> str:
     return f"v{i}"

@@ -16,10 +16,9 @@ import re
 from dataclasses import dataclass
 
 from .bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS, task_spec
-from .core import from_json_dict, json_str, write_jsonl
+from .core import VISUAL_FORMATS, from_json_dict, json_str, write_jsonl
 from .text_repr import TEXT_FORMATS
 from .verify import format_coloring, format_cycle, format_path, verify_3cl, verify_hhm, verify_shc
-from .visual_repr import VISUAL_FORMATS
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def _parse_path_weight(payload: str, flags: list[str]):
 
 
 def _parse_vertex_set(payload: str, flags: list[str]):
-    if re.search(r"no\s+n?-?\s*neighbors", payload, re.IGNORECASE):
+    if re.search(r"no\s+(?:(?:n-?|-)\s*)?neighbors", payload, re.IGNORECASE):
         return []
     brace = re.search(r"\{([^{}]*)\}", payload)
     if brace and not brace.group(1).strip():
@@ -116,20 +115,28 @@ def _parse_yes_no(payload: str, flags: list[str]):
 
 
 def _cert_region(payload: str, keyword: str, flags: list[str]) -> str:
-    m = re.search(rf"{keyword}\s*:?\s*\[([^\]]*)\]", payload, re.IGNORECASE)
+    """The text between the first ``keyword[`` (or, failing that, the first
+    ``[``) and the ``]`` after it.  If no ``]`` follows the first bracket,
+    none follows a later one, so each bracket is searched for once and the
+    work stays linear in the reply's length."""
+    m = re.search(rf"{keyword}\s*(?::\s*)?\[", payload, re.IGNORECASE)
     if m:
-        return m.group(1)
+        end = payload.find("]", m.end())
+        if end >= 0:
+            return payload[m.end():end]
     flags.append("missing_keyword")
-    m = re.search(r"\[([^\]]*)\]", payload)
-    if m:
-        return m.group(1)
+    start = payload.find("[")
+    if start >= 0:
+        end = payload.find("]", start)
+        if end >= 0:
+            return payload[start + 1:end]
     flags.append("no_brackets")
     return payload
 
 
 def _parse_coloring(payload: str, flags: list[str]):
     region = _cert_region(payload, "coloring", flags)
-    pairs = re.findall(r"v\s*(\d+)\s*[:=]\s*c?\s*([012])\b", region, re.IGNORECASE)
+    pairs = re.findall(r"v\s*(\d+)\s*[:=]\s*(?:c\s*)?([012])\b", region, re.IGNORECASE)
     if not pairs:
         return _UNPARSED
     value: dict[int, int] = {}

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 
-import numpy as np
-
 from .core import Hypergraph
 
 ORACLE_MAX_VERTICES = 8
@@ -245,6 +243,8 @@ def oracle_osp(h: Hypergraph, s: int, t: int) -> PathResult:
 
 def oracle_omf(h: Hypergraph, s: int, t: int) -> int:
     """Minimum s-t cut by enumerating all node subsets (max-flow = min-cut)."""
+    import numpy as np
+
     _check_oracle_size(h)
     h.check_endpoints(s, t, "source and target")
     size = h.n + h.num_edges
@@ -266,12 +266,17 @@ def oracle_omf(h: Hypergraph, s: int, t: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def _all_permutations(n: int) -> np.ndarray:
+def _all_permutations(n: int):
+    """Every permutation of ``range(n)``, one per row of an int64 array."""
+    import numpy as np
+
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
 def oracle_ism(a: Hypergraph, b: Hypergraph) -> bool:
     """Try all |V|! vertex bijections, comparing edge bitmask multisets."""
+    import numpy as np
+
     _check_oracle_size(a)
     _check_oracle_size(b)
     if a.n != b.n or a.num_edges != b.num_edges:

@@ -8,6 +8,12 @@ Cli-Exp (spring layout of the clique expansion with per-pair edge-id labels).
 
 All geometry is seeded and every float is emitted as "%.2f", so a given
 (hypergraph, format, seed) always yields byte-identical SVG.
+
+This is the one module that imports numpy when it is imported (``solve``'s
+two oracles import it inside the function), and the rest of the package
+imports this module only where an SVG is drawn.  ``VISUAL_FORMATS`` lives in
+``core`` and is re-exported here, so that naming the formats costs no numpy
+import.
 """
 
 from __future__ import annotations
@@ -16,9 +22,7 @@ from collections import deque
 
 import numpy as np
 
-from .core import Hypergraph, ename, vname
-
-VISUAL_FORMATS = ("Enc-Hy", "Bi-Inc", "Sh-Inc", "St-Inc", "Cli-Exp")
+from .core import VISUAL_FORMATS, Hypergraph, ename, vname
 
 # 12 high-contrast fills, cycled by hyperedge id.
 PALETTE = (

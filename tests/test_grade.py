@@ -1,6 +1,10 @@
 import json
+import re
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperbench import aggregate, build_prm, emit_corpus, grade, grade_responses, make_meta, read_jsonl
 from hyperbench.bench import ALL_COMBOS, TASKS, sample_rows
@@ -119,6 +123,136 @@ def test_strict_rejects_leniencies():
 def test_parse_unknown_task():
     with pytest.raises(ValueError):
         parse_answer("XYZ", "Ans: 1")
+
+
+# The certificate and vertex-set parsers as they were written with one
+# regex per search: same values and flags, but quadratic on replies that
+# open many brackets without closing them or repeat long whitespace runs.
+
+
+def _old_cert_region(payload, keyword, flags):
+    m = re.search(rf"{keyword}\s*:?\s*\[([^\]]*)\]", payload, re.IGNORECASE)
+    if m:
+        return m.group(1)
+    flags.append("missing_keyword")
+    m = re.search(r"\[([^\]]*)\]", payload)
+    if m:
+        return m.group(1)
+    flags.append("no_brackets")
+    return payload
+
+
+def _old_parse_coloring(payload, flags):
+    region = _old_cert_region(payload, "coloring", flags)
+    pairs = re.findall(r"v\s*(\d+)\s*[:=]\s*c?\s*([012])\b", region, re.IGNORECASE)
+    if not pairs:
+        return grade._UNPARSED
+    value = {}
+    for v, c in pairs:
+        v = int(v)
+        if v in value:
+            flags.append("duplicate_assignment")
+        value[v] = int(c)
+    return value
+
+
+def _old_parse_edge_sequence(payload, keyword, flags):
+    region = _old_cert_region(payload, keyword, flags)
+    ids = re.findall(r"e\s*(\d+)", region, re.IGNORECASE)
+    if not ids:
+        ids = re.findall(r"\d+", region)
+        if ids:
+            flags.append("bare_ids")
+    if not ids:
+        return grade._UNPARSED
+    return [int(i) for i in ids]
+
+
+def _old_parse_vertex_set(payload, flags):
+    if re.search(r"no\s+n?-?\s*neighbors", payload, re.IGNORECASE):
+        return []
+    brace = re.search(r"\{([^{}]*)\}", payload)
+    if brace and not brace.group(1).strip():
+        return []
+    region = brace.group(1) if brace else payload
+    if not brace:
+        flags.append("no_braces")
+    ids = re.findall(r"v\s*(\d+)", region)
+    if not ids:
+        ids = re.findall(r"\d+", region)
+        if ids:
+            flags.append("bare_ids")
+    if not ids:
+        return grade._UNPARSED
+    return sorted({int(i) for i in ids})
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+_WS = st.sampled_from(["", " ", "   ", "\n", "\t "])
+_DIGITS = st.sampled_from(["0", "1", "2", "3", "12"])
+# an item of a certificate or vertex set, whole or cut short: "v1: c2", "e3", "V 0=1", "7"
+_ITEM = _joined(st.sampled_from(["v", "V", "e", "E", ""]), _WS, _DIGITS,
+                st.sampled_from(["", ":", "=", ": c", ":C ", "=c"]), _WS, st.sampled_from(["", "0", "1", "2", "12"]))
+_ITEMS = st.lists(_ITEM, max_size=4).map(", ".join)
+_FRAGMENT = st.one_of(
+    # a keyword bracket, closed or not
+    _joined(st.sampled_from(["Coloring", "coloring", "Cycle", "cycle", "Path", "PATH", ""]), _WS,
+            st.sampled_from(["", ":", "="]), _WS, st.sampled_from(["[", "", "{"]), _ITEMS,
+            st.sampled_from(["]", "", "}", "]."])),
+    # "no neighbors" and its near misses
+    _joined(st.sampled_from(["no", "No", "NO", "n"]), _WS, st.sampled_from(["", "n", "N", "-", "n-", "n -"]), _WS,
+            st.sampled_from(["neighbors", "Neighbors", "neighbor", "-neighbors"])),
+    st.sampled_from(["[", "]", "{", "}", ":", " ", "yes", "x", "-"]),
+)
+_REPLIES = st.lists(_FRAGMENT, max_size=6).map("".join)
+
+
+def _both(new, old, *args):
+    new_flags, old_flags = [], []
+    return (new(*args, new_flags), new_flags), (old(*args, old_flags), old_flags)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_REPLIES)
+@example("Path:[" * 40)
+@example("Coloring:[v1" * 40)
+@example("[" * 40 + "]")
+@example("Coloring" + " " * 40 + ": [v0: c 1, v2 =C2]")
+@example("[v1:" + " " * 40 + "c" + " " * 3 + "2]")
+@example("no" + " " * 40 + "n -  neighbors")
+def test_linear_parsers_match_the_regex_parsers(reply):
+    new, old = _both(grade._parse_coloring, _old_parse_coloring, reply)
+    assert new == old
+    new, old = _both(grade._parse_vertex_set, _old_parse_vertex_set, reply)
+    assert new == old
+    for keyword in ("cycle", "path"):
+        new, old = _both(lambda payload, flags: grade._parse_edge_sequence(payload, keyword, flags),
+                         lambda payload, flags: _old_parse_edge_sequence(payload, keyword, flags), reply)
+        assert new == old
+
+
+_MB = 1 << 20
+
+
+@pytest.mark.parametrize(("task", "reply", "flags"), [
+    ("HHM", "Path:[" * (_MB // 6), ("missing_keyword", "no_brackets")),
+    ("3-CL", "Coloring:[v1" * (_MB // 12), ("missing_keyword", "no_brackets")),
+    ("SHC", "[" * _MB, ("missing_keyword", "no_brackets")),
+    ("3-CL", "Coloring" + " " * _MB, ("missing_keyword", "no_brackets")),
+    ("3-CL", "[v1:" + " " * _MB, ("missing_keyword", "no_brackets")),
+    ("Ne", "no" + " " * _MB, ("no_braces",)),
+    ("ONe", "no" + " " * _MB, ("no_braces",)),
+], ids=["Path-brackets", "Coloring-brackets", "bare-brackets", "Coloring-spaces", "pair-spaces",
+        "Ne-no-spaces", "ONe-no-spaces"])
+def test_a_1mb_hostile_reply_parses_in_under_a_second(task, reply, flags):
+    start = time.perf_counter()
+    parsed = parse_answer(task, "Ans: " + reply)
+    elapsed = time.perf_counter() - start
+    assert parsed.flags == ("parse_failure", *flags)
+    assert elapsed < 1.0
 
 
 # -- judging ---------------------------------------------------------------

@@ -1,0 +1,85 @@
+"""numpy is imported only where an SVG is laid out and by the two oracles.
+
+Each check runs in a fresh interpreter, since the test process has long
+imported numpy by the time it gets here.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run(code: str, cwd: Path) -> None:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_package_and_cli_leaves_numpy_out(tmp_path):
+    _run("""
+        import sys
+        import hyperbench, hyperbench.cli
+        assert "numpy" not in sys.modules
+        assert "hyperbench.visual_repr" not in sys.modules
+    """, tmp_path)
+
+
+def test_grade_prm_and_dry_run_emit_never_import_numpy(tmp_path):
+    _run("""
+        import json, sys
+        from hyperbench.cli import main
+        from hyperbench.grade import canonical_answer_text
+
+        def check(*argv):
+            assert main(list(argv)) == 0, argv
+            assert "numpy" not in sys.modules, f"{argv[0]} imported numpy"
+
+        check("emit", "--seed", "5", "--per-task", "1", "--dry-run", "--jobs", "1", "--out", "corpus")
+        with open("corpus/manifest.jsonl", encoding="utf-8") as rows, open("responses.jsonl", "w", encoding="utf-8") as out:
+            for line in rows:
+                row = json.loads(line)
+                out.write(json.dumps({"sample_id": row["sample_id"], "response": canonical_answer_text(row)}) + "\\n")
+        check("grade", "--manifest", "corpus/manifest.jsonl", "--responses", "responses.jsonl", "--out", "out")
+        check("prm", "--manifest", "corpus/manifest.jsonl", "--responses", "responses.jsonl", "--out", "out")
+    """, tmp_path)
+
+
+def test_render_svg_is_served_from_visual_repr_on_first_use(tmp_path):
+    _run("""
+        import sys
+        import hyperbench
+        assert "numpy" not in sys.modules
+        render_svg = hyperbench.render_svg
+        assert "numpy" in sys.modules
+        assert render_svg is hyperbench.visual_repr.render_svg
+        try:
+            hyperbench.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("hyperbench.no_such_name did not raise AttributeError")
+    """, tmp_path)
+
+
+def test_an_image_emit_imports_visual_repr_before_the_pool_forks(tmp_path):
+    _run("""
+        import sys
+        from hyperbench import bench
+        from hyperbench.cli import main
+
+        imported_at_fork = []
+
+        class Pool(bench.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                imported_at_fork.append("hyperbench.visual_repr" in sys.modules)
+                super().__init__(*args, **kwargs)
+
+        bench.ProcessPoolExecutor = Pool
+        assert main(["emit", "--seed", "5", "--per-task", "1", "--source-mix", "1:0", "--jobs", "2", "--out", "corpus"]) == 0
+        assert imported_at_fork == [True]
+    """, tmp_path)
