@@ -210,9 +210,13 @@ _FRAGMENT = st.one_of(
 _REPLIES = st.lists(_FRAGMENT, max_size=6).map("".join)
 
 
-def _both(new, old, *args):
-    new_flags, old_flags = [], []
-    return (new(*args, new_flags), new_flags), (old(*args, old_flags), old_flags)
+# answer kind -> old parser, as grade._PARSERS holds the new ones
+_OLD_PARSERS = {
+    "coloring": _old_parse_coloring,
+    "cycle": lambda payload, flags: _old_parse_edge_sequence(payload, "cycle", flags),
+    "path": lambda payload, flags: _old_parse_edge_sequence(payload, "path", flags),
+    "vertex_set": _old_parse_vertex_set,
+}
 
 
 @settings(max_examples=600, deadline=None)
@@ -224,14 +228,9 @@ def _both(new, old, *args):
 @example("[v1:" + " " * 40 + "c" + " " * 3 + "2]")
 @example("no" + " " * 40 + "n -  neighbors")
 def test_linear_parsers_match_the_regex_parsers(reply):
-    new, old = _both(grade._parse_coloring, _old_parse_coloring, reply)
-    assert new == old
-    new, old = _both(grade._parse_vertex_set, _old_parse_vertex_set, reply)
-    assert new == old
-    for keyword in ("cycle", "path"):
-        new, old = _both(lambda payload, flags: grade._parse_edge_sequence(payload, keyword, flags),
-                         lambda payload, flags: _old_parse_edge_sequence(payload, keyword, flags), reply)
-        assert new == old
+    for kind, old in _OLD_PARSERS.items():
+        new_flags, old_flags = [], []
+        assert (grade._PARSERS[kind](reply, new_flags), new_flags) == (old(reply, old_flags), old_flags), kind
 
 
 _MB = 1 << 20
