@@ -33,7 +33,6 @@ import random
 import signal
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from functools import cache
@@ -513,11 +512,11 @@ def _emit_chunk(assignments) -> list[str]:
     return [_emit_meta(assignment) for assignment in assignments]
 
 
-def _emit_in_pool(ex: ProcessPoolExecutor, assignments, jobs: int):
-    """``_emit_meta``'s results in order, made by ``ex`` in chunks of
-    ``_CHUNK`` metas with at most ``_CHUNKS_PER_JOB * jobs`` chunks pending;
-    the chunks still pending are cancelled when the generator is closed or
-    interrupted."""
+def _emit_in_pool(ex, assignments, jobs: int):
+    """``_emit_meta``'s results in order, made by the process pool ``ex`` in
+    chunks of ``_CHUNK`` metas with at most ``_CHUNKS_PER_JOB * jobs`` chunks
+    pending; the chunks still pending are cancelled when the generator is
+    closed or interrupted."""
     pending = deque()
     try:
         for start in range(0, len(assignments), _CHUNK):
@@ -563,6 +562,8 @@ def emit_corpus(
     try:
         with ExitStack() as stack:
             if jobs > 1:
+                from concurrent.futures import ProcessPoolExecutor  # imported only for a pooled emit
+
                 ex = stack.enter_context(ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=context))
                 # closed before the pool shuts down, so that a failed or
                 # interrupted emit waits only for the chunks already running

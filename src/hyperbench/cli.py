@@ -45,6 +45,8 @@ _CLI_TASKS = {spec.id.lower().replace("-", ""): spec for spec in TASK_TABLE}
 _VERIFY_TASKS = [name for name, spec in _CLI_TASKS.items() if spec.kind in CERTIFICATE_KINDS]
 _PARAM_FLAGS = {"u": "v"}  # the vertex parameter is spelled --v
 _NAMED_METAS = 10  # skipped metas that prm names on stderr
+# the golden text renderings of the reference hypergraph, shipped with the package
+_FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _default_out() -> str:
@@ -234,10 +236,10 @@ def _grade_files(args):
             records = grade_responses(index, responses, options)
         except ValueError as exc:
             raise UsageError(str(exc))
-    unanswered = len(index.rows) - len(records)
+    unanswered = len(index) - len(records)
     if unanswered:
         print(f"{unanswered} manifest samples have no response", file=sys.stderr)
-    return index.rows.values(), records
+    return index.values(), records
 
 
 def _cmd_grade(args) -> int:
@@ -279,18 +281,6 @@ def _cmd_prm(args) -> int:
 # ---------------------------------------------------------------------------
 # selfcheck
 # ---------------------------------------------------------------------------
-
-
-def _fixtures_dir() -> Path | None:
-    env = os.environ.get("HYPERBENCH_FIXTURES")
-    if env:
-        p = Path(env)
-        return p if p.is_dir() else None
-    local = Path("fixtures/text")
-    if local.is_dir():
-        return local
-    packaged = Path(__file__).resolve().parents[2] / "fixtures" / "text"
-    return packaged if packaged.is_dir() else None
 
 
 def _selfcheck_oracles(report) -> bool:
@@ -348,18 +338,9 @@ def _cmd_selfcheck(args) -> int:
 
     _selfcheck_oracles(report)
 
-    fixtures = _fixtures_dir()
-    if fixtures is None:
-        print("skip - golden text files (fixtures directory not found)")
-    else:
-        for fmt in TEXT_FORMATS:
-            fname = fmt.lower().replace("-", "_") + ".txt"  # LO-Inc -> lo_inc.txt
-            path = fixtures / fname
-            if not path.is_file():
-                print(f"skip - golden {fmt} (missing {fname})")
-                continue
-            golden = path.read_text(encoding="utf-8")
-            report(f"golden {fmt}", render_text(h, fmt) == golden)
+    for fmt in TEXT_FORMATS:
+        path = _FIXTURES / (fmt.lower().replace("-", "_") + ".txt")  # LO-Inc -> lo_inc.txt
+        report(f"golden {fmt}", path.is_file() and render_text(h, fmt) == path.read_text(encoding="utf-8"))
 
     gen_ok = True
     for i in range(5):

@@ -211,12 +211,12 @@ def check_certificate(kind: str, h, value, params: dict) -> tuple[bool, tuple[st
         return False, ("invalid_ids",)
 
 
-def judge(row: dict, parsed: ParsedAnswer, graphs: dict | None = None) -> tuple[bool, tuple[str, ...]]:
+def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
     """Decide correctness of a parsed answer against a manifest row.
 
-    ``graphs`` memoizes certificate graphs by answer_spec object, so that
-    rows sharing one spec (as :func:`index_manifest` makes them) build one
-    graph between them.
+    A certificate is checked against the row's ``graph``, which
+    :func:`index_manifest` builds; a full manifest row has none, and its
+    graph is built from its answer_spec.
     """
     spec = row["answer_spec"]
     kind = spec["kind"]
@@ -225,24 +225,12 @@ def judge(row: dict, parsed: ParsedAnswer, graphs: dict | None = None) -> tuple[
     if parsed.kind != kind:
         return False, parsed.flags + ("kind_mismatch",)
     if kind in CERTIFICATE_KINDS:
-        h = _certificate_graph(row, {} if graphs is None else graphs)
+        h = row["graph"] if "graph" in row else from_json_dict(spec["graph"])
         ok, extra = check_certificate(kind, h, parsed.value, spec["params"])
         return ok, parsed.flags + extra
     if kind == "vertex_set":
         return sorted(parsed.value) == sorted(spec["value"]), parsed.flags
     return parsed.value == spec["value"], parsed.flags
-
-
-def _certificate_graph(row: dict, graphs: dict):
-    spec = row["answer_spec"]
-    if id(spec) not in graphs:
-        try:
-            h = from_json_dict(spec["graph"])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValueError(f"manifest row {row['sample_id']} has an answer_spec.graph that does not build: {exc}") from None
-        # the entry holds its spec, so the id it is keyed by cannot be reused
-        graphs[id(spec)] = (spec, h)
-    return graphs[id(spec)][1]
 
 
 # what grading reads of each manifest row: its keys and the answer_spec's
@@ -259,7 +247,7 @@ _AXES = tuple(
 
 def _check_certificate_row(where: str, spec: dict, task: str) -> None:
     """ValueError unless a certificate row's graph has an int ``n`` >= 1 and its
-    params hold the task's parameters as distinct vertex ids (:func:`judge` builds the graph)."""
+    params hold the task's parameters as distinct vertex ids."""
     graph, params = spec["graph"], spec["params"]
     n = graph.get("n") if isinstance(graph, dict) else None
     if type(n) is not int or n < 1:
@@ -274,6 +262,14 @@ def _check_certificate_row(where: str, spec: dict, task: str) -> None:
         raise ValueError(f"{where} has equal answer_spec.params s and t")
 
 
+def _certificate_graph(where: str, spec: dict):
+    """The hypergraph of a certificate row's spec; ValueError naming ``where`` if it does not build."""
+    try:
+        return from_json_dict(spec["graph"])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValueError(f"{where} has an answer_spec.graph that does not build: {exc}") from None
+
+
 def _shared(kept: list, value):
     """The value in ``kept`` equal to ``value``, or else ``value`` itself,
     appended to ``kept``."""
@@ -284,30 +280,23 @@ def _shared(kept: list, value):
     return value
 
 
-@dataclass
-class ManifestIndex:
-    """What grading reads of a manifest: a slim copy of each row by sample id,
-    in manifest order, and the certificate graphs :func:`judge` has built."""
-
-    rows: dict[str, dict]
-    graphs: dict
-
-
-def index_manifest(manifest_rows) -> ManifestIndex:
-    """Check and index manifest rows, which may be streamed: each row is
-    checked as it is read, and only a slim copy of it is kept, with the keys
-    of ``_ROW_KEYS`` but the prompt, which only HO-Neigh rows keep (they are
-    the router input :func:`build_prm` reads).  Rows of one meta with equal
-    answer specs share one spec object, and equal prompts one string.
+def index_manifest(manifest_rows) -> dict[str, dict]:
+    """Check and index manifest rows, which may be streamed: a slim copy of
+    each row by sample id, in manifest order.  Each row is checked as it is
+    read, and only a slim copy of it is kept, with the keys of ``_ROW_KEYS``
+    but the prompt, which only HO-Neigh rows keep (they are the router input
+    :func:`build_prm` reads).  Rows of one meta with equal answer specs share
+    one spec object, and equal prompts one string.  A certificate row also
+    keeps its ``graph``, built when its spec is first kept and shared with
+    the rows that share the spec.
 
     ValueError names the first row that lacks a key grading reads, names an
     unknown task or format, holds an answer kind other than its task's or a
     certificate graph or params grading cannot use, or repeats an earlier
     row's sample id.
     """
-    index = ManifestIndex({}, {})
-    by_id = index.rows
-    metas: dict[str, tuple] = {}  # meta id -> (it, the distinct answer specs and prompts of its rows)
+    by_id: dict[str, dict] = {}
+    metas: dict[str, tuple] = {}  # meta id -> (it, the distinct answers and prompts of its rows)
     for n, row in enumerate(manifest_rows, 1):
         row = row if isinstance(row, dict) else {}
         sid = row.get("sample_id")
@@ -336,28 +325,33 @@ def index_manifest(manifest_rows) -> ManifestIndex:
             _check_certificate_row(where, spec, row["task"])
         if sid in by_id:
             raise ValueError(f"{where} repeats the sample id of an earlier row")
-        specs, prompts = [], []
+        answers, prompts = [], []
         if isinstance(row["meta_id"], str):
-            # the rows of a meta share its id string and each distinct spec and prompt
-            slim["meta_id"], specs, prompts = metas.setdefault(row["meta_id"], (row["meta_id"], [], []))
-        slim["answer_spec"] = _shared(specs, spec)
+            # the rows of a meta share its id string and each distinct answer and prompt
+            slim["meta_id"], answers, prompts = metas.setdefault(row["meta_id"], (row["meta_id"], [], []))
+        answer = next((a for a in answers if a["answer_spec"] == spec), None)
+        if answer is None:  # a spec first kept: a certificate's graph is built now, for every row sharing it
+            answer = {"answer_spec": spec}
+            if certificate:
+                answer["graph"] = _certificate_graph(where, spec)
+            answers.append(answer)
+        slim.update(answer)
         if slim["text_format"] == "HO-Neigh":
             slim["prompt"] = _shared(prompts, row["prompt"])
         by_id[sid] = slim
-    return index
+    return by_id
 
 
 def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OPTIONS) -> list[GradeRecord]:
     """Grade ``{"sample_id", "response"}`` responses against a manifest, given
-    as rows or as the :class:`ManifestIndex` of them; either may be streamed.
+    as rows, which may be streamed, or as the dict :func:`index_manifest`
+    makes of them; the responses may be streamed too.
 
     The text may be under ``raw_text`` instead of ``response``.  A response
     without either, a repeated sample id or an unknown one is a ValueError,
-    as is a manifest row that :func:`index_manifest` rejects or a
-    certificate graph that does not build.
+    as is a manifest row that :func:`index_manifest` rejects.
     """
-    index = manifest_rows if isinstance(manifest_rows, ManifestIndex) else index_manifest(manifest_rows)
-    by_id = index.rows
+    by_id = manifest_rows if isinstance(manifest_rows, dict) else index_manifest(manifest_rows)
     records = []
     seen: dict[str, None] = {}  # as a set, but a fifth of the memory at corpus scale
     unknown: list[str] = []
@@ -378,7 +372,7 @@ def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OP
             unknown.append(sid)
         elif not unknown:  # once an id is unknown the run fails; grade no further
             parsed = parse_answer(row["task"], text, options)
-            correct, flags = judge(row, parsed, index.graphs)
+            correct, flags = judge(row, parsed)
             records.append(GradeRecord(sid, parsed, correct, flags))
     if unknown:
         raise ValueError(f"responses reference unknown sample ids: {unknown[:10]}")

@@ -230,7 +230,7 @@ def test_criterion_4_serializer_fidelity(hstar):
     1,000 round trips for the three machine-parseable formats."""
     from pathlib import Path
 
-    fixtures = Path(__file__).resolve().parents[1] / "fixtures" / "text"
+    fixtures = Path(__file__).resolve().parents[1] / "src" / "hyperbench" / "fixtures"
     golden_map = {
         "LO-Inc": "lo_inc.txt",
         "N-Pair": "n_pair.txt",

@@ -410,6 +410,25 @@ def test_grade_unusable_certificate_row_is_usage_error(tmp_path, capsys, cmd, ca
 
 
 @pytest.mark.parametrize("cmd", ["grade", "prm"])
+@pytest.mark.parametrize("reply", ["Ans: no idea", None, "Ans: Coloring:[v0:c0]"])
+def test_grade_unbuildable_certificate_graph_exits_2_whatever_the_replies(tmp_path, capsys, cmd, reply):
+    row = sample_rows(make_meta("3-CL", 0, "small", "synthetic", 3))[0]
+    graph = row["answer_spec"]["graph"]
+    row["answer_spec"] = {**row["answer_spec"], "graph": {**graph, "edges": [*graph["edges"], [0, 99]]}}
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    replies = [] if reply is None else [json.dumps({"sample_id": row["sample_id"], "response": reply})]
+    code, out = _grade(tmp_path, manifest, replies, cmd)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has an answer_spec.graph that does not build: " in captured.err
+    assert row["sample_id"] in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
 def test_grade_missing_responses(tmp_path, vc_manifest, capsys, cmd):
     manifest, _ = vc_manifest
     out = tmp_path / "out"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hyperbench import aggregate, build_prm, emit_corpus, grade, grade_responses, make_meta, read_jsonl
 from hyperbench.bench import ALL_COMBOS, TASKS, sample_rows
-from hyperbench.core import to_json_dict, write_jsonl
+from hyperbench.core import from_json_dict, to_json_dict, write_jsonl
 from hyperbench.grade import (
     GradeOptions,
     GradeRecord,
@@ -546,10 +546,17 @@ def test_each_certificate_meta_builds_one_graph(tmp_path, monkeypatch):
     assert len(builds) == len(certificate_metas)
 
 
+def test_index_shares_one_built_graph_among_the_rows_of_a_meta():
+    rows = sample_rows(make_meta("HHM", 0, "small", "synthetic", 3))
+    slim = list(grade.index_manifest(json.loads(json.dumps(row)) for row in rows).values())
+    assert all(r["graph"] is slim[0]["graph"] for r in slim)
+    assert slim[0]["graph"] == from_json_dict(rows[0]["answer_spec"]["graph"])
+
+
 def test_index_keeps_slim_rows_sharing_one_spec_per_meta():
     rows = sample_rows(make_meta("VC", 0, "small", "synthetic", 3))
     index = grade.index_manifest(json.loads(json.dumps(row)) for row in rows)  # streamed, one decode per row
-    slim = list(index.rows.values())
+    slim = list(index.values())
     assert [r["sample_id"] for r in slim] == [r["sample_id"] for r in rows]
     assert all(r["answer_spec"] is slim[0]["answer_spec"] for r in slim)
     assert all(r["answer_spec"] == rows[0]["answer_spec"] for r in slim)

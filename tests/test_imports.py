@@ -1,4 +1,5 @@
-"""numpy is imported only where an SVG is laid out and by the two oracles.
+"""numpy is imported only where an SVG is laid out and by the two oracles,
+and multiprocessing only for a pooled emit.
 
 Each check runs in a fresh interpreter, since the test process has long
 imported numpy by the time it gets here.
@@ -38,6 +39,7 @@ def test_grade_prm_and_dry_run_emit_never_import_numpy(tmp_path):
         def check(*argv):
             assert main(list(argv)) == 0, argv
             assert "numpy" not in sys.modules, f"{argv[0]} imported numpy"
+            assert "multiprocessing" not in sys.modules, f"{argv[0]} imported multiprocessing"
 
         check("emit", "--seed", "5", "--per-task", "1", "--dry-run", "--jobs", "1", "--out", "corpus")
         with open("corpus/manifest.jsonl", encoding="utf-8") as rows, open("responses.jsonl", "w", encoding="utf-8") as out:
@@ -68,18 +70,18 @@ def test_render_svg_is_served_from_visual_repr_on_first_use(tmp_path):
 
 def test_an_image_emit_imports_visual_repr_before_the_pool_forks(tmp_path):
     _run("""
+        import concurrent.futures
         import sys
-        from hyperbench import bench
         from hyperbench.cli import main
 
         imported_at_fork = []
 
-        class Pool(bench.ProcessPoolExecutor):
+        class Pool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 imported_at_fork.append("hyperbench.visual_repr" in sys.modules)
                 super().__init__(*args, **kwargs)
 
-        bench.ProcessPoolExecutor = Pool
+        concurrent.futures.ProcessPoolExecutor = Pool
         assert main(["emit", "--seed", "5", "--per-task", "1", "--source-mix", "1:0", "--jobs", "2", "--out", "corpus"]) == 0
         assert imported_at_fork == [True]
     """, tmp_path)

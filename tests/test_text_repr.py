@@ -9,7 +9,7 @@ from hyperbench import Hypergraph, parse_honeigh, parse_incmat, parse_nset, rend
 from hyperbench.core import ename, vname
 from hyperbench.text_repr import TEXT_FORMATS, ParseError
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "text"
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "hyperbench" / "fixtures"
 
 GOLDEN = {
     "LO-Inc": "lo_inc.txt",

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbench import Hypergraph, find_hhm, verify, verify_shc
+from hyperbench import Hypergraph, find_hhm, save_json, verify, verify_shc
 from hyperbench.bench import make_meta
+from hyperbench.cli import main
 from hyperbench.generate import (
     SCALE_CLASSES,
     GenSpec,
@@ -16,6 +17,7 @@ from hyperbench.generate import (
     subsample_real,
 )
 from hyperbench.verify import (
+    NUM_COLORS,
     _pair_adjacency,
     find_3cl,
     find_hhm_any,
@@ -260,6 +262,70 @@ def test_verify_hhm_bounded_on_sliding_windows():
     start = time.perf_counter()
     assert not verify_hhm(h, seq, 0, 19)
     assert time.perf_counter() - start < 1.0
+
+
+def _plain_find_3cl(h):
+    """find_3cl without the memo of failed states: ascending backtracking,
+    each edge checked once its highest vertex is colored."""
+    closing = [[] for _ in range(h.n)]
+    for j, e in enumerate(h.edges):
+        closing[max(e)].append(j)
+    colors = [-1] * h.n
+
+    def assign(v):
+        if v == h.n:
+            return True
+        for c in range(NUM_COLORS):
+            colors[v] = c
+            if all(len({colors[u] for u in h.edges[j]}) >= 2 for j in closing[v]) and assign(v + 1):
+                return True
+        colors[v] = -1
+        return False
+
+    return tuple(colors) if assign(0) else None
+
+
+@st.composite
+def coloring_cases(draw):
+    """A hypergraph of 3-11 vertices and up to 3n hyperedges of 2-3 vertices,
+    dense enough that some cannot be 3-colored."""
+    n = draw(st.integers(3, 11))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True)
+    return Hypergraph(n, draw(st.lists(edge, max_size=3 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloring_cases())
+def test_find_3cl_matches_plain_backtracking(h):
+    assert find_3cl(h) == _plain_find_3cl(h)
+
+
+def test_find_3cl_matches_plain_backtracking_on_real_subsamples():
+    pool = demo_pool()
+    for scale in ("small", "medium"):
+        for i in range(60):
+            h = subsample_real(pool, GenSpec("3-CL", scale, "real", derive_seed(7, scale, i)))
+            assert find_3cl(h) == _plain_find_3cl(h)
+
+
+def _k4_tail(n):
+    """A chain of hyperedges (i, i+1, i+2) ending in all six pairs of the last
+    four vertices: no 3-coloring, and the plain search colors the chain in
+    about 3^(n-4) ways, failing at the K4 each time."""
+    pairs = itertools.combinations(range(n - 4, n), 2)
+    return Hypergraph(n, [(i, i + 1, i + 2) for i in range(n - 4)] + list(pairs))
+
+
+def test_find_3cl_bounded_on_a_k4_tail(tmp_path, capsys):
+    h = _k4_tail(20)
+    start = time.perf_counter()
+    assert find_3cl(h) is None
+    assert time.perf_counter() - start < 1.0
+    save_json(h, tmp_path / "k4.json")
+    start = time.perf_counter()
+    assert main(["solve", "--task", "3cl", "--graph", str(tmp_path / "k4.json")]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == '{"task": "3cl", "value": null}\n'
 
 
 def test_make_meta_hhm_92_large_real_is_pinned():
