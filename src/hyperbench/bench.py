@@ -6,23 +6,29 @@ representation combination — sharing the same answer.  ``emit_corpus``
 generates the metas with the paper's 1:2:1 small:medium:large scale mix and
 a 1:1 synthetic:real source mix, and writes the SVGs and a JSONL manifest
 (keys sorted, no timestamps, byte-stable for a fixed seed).  One function
-makes, renders and encodes each meta, in ``jobs`` worker processes or in
-this one; the parent appends the encoded lines in emission order.
+makes, renders and encodes each chunk of ``_CHUNK`` metas, in ``jobs``
+worker processes or in this one; the parent appends the encoded lines in
+emission order.
 
 Each distinct byte is made once.  A meta's 35 rows share its answer spec and
 the 5 rows of a text format share its prompt, so each of those is encoded
 once and the rows are joined through one line template.  Each (meta, visual)
 SVG is written once, at its first sample path; the other six paths are hard
-links to it, or copies where the filesystem refuses a link.  With ``jobs`` >
-1 the metas go to the workers in chunks of ``_CHUNK``, at most
-``_CHUNKS_PER_JOB`` chunks a worker ahead of the parent, so that results do
-not queue up in the parent behind a slow meta.
+links to it, or copies where the filesystem refuses a link.  A chunk's
+Cli-Exp spring layouts, ISM pairs' included, are computed together in one
+``visual_repr.layout_springs`` batch before its SVGs are drawn: a layout is
+100 steps of numpy calls over at most 20 points, so a batch pays each call's
+overhead once, and its positions are those of laying each graph out alone.
+With ``jobs`` > 1 the chunks go to the workers, at most ``_CHUNKS_PER_JOB``
+chunks a worker ahead of the parent, so that results do not queue up in the
+parent behind a slow meta; ``jobs`` = 1 runs the same chunks in order, so no
+output depends on ``jobs``.
 
 Only the SVGs need numpy.  ``VISUAL_FORMATS`` comes from ``core``, and
-``visual_repr`` is imported inside ``render_meta_svg``, where each call looks
-up its renderers, so a dry run never imports numpy.  An image emit imports
-``visual_repr`` before the worker pool forks, so that the workers inherit
-numpy rather than each importing it.
+``visual_repr`` is imported inside ``render_meta_svg`` and ``_write_svgs``,
+and each SVG looks up its renderer on the module, so a dry run never imports
+numpy.  An image emit imports ``visual_repr`` before the worker pool forks,
+so that the workers inherit numpy rather than each importing it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from collections.abc import Callable
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .core import VISUAL_FORMATS, Hypergraph, json_str, to_json_dict
@@ -347,14 +353,23 @@ def prompt_for(meta: MetaProblem, text_fmt: str) -> str:
     return render_text(meta.hypergraph, text_fmt) + "\n" + question_sentence(meta)
 
 
-def render_meta_svg(meta: MetaProblem, visual_fmt: str) -> str:
-    """The sample image for a meta (ISM pairs share one canvas and seed)."""
+def _svg_seed(meta: MetaProblem, visual_fmt: str) -> int:
+    return derive_seed(meta.seed, "svg", visual_fmt)
+
+
+def render_meta_svg(meta: MetaProblem, visual_fmt: str, layouts=None) -> str:
+    """The sample image for a meta (ISM pairs share one canvas and seed).
+    ``layouts`` holds, for a force format, the abstract layout of each of the
+    meta's hypergraphs already computed."""
     from . import visual_repr  # numpy; looked up per call, not bound at import
 
-    svg_seed = derive_seed(meta.seed, "svg", visual_fmt)
+    svg_seed = _svg_seed(meta, visual_fmt)
     if meta.hypergraph_b is not None:
-        return visual_repr.render_svg_pair(meta.hypergraph, meta.hypergraph_b, visual_fmt, seed=svg_seed)
-    return visual_repr.render_svg(meta.hypergraph, visual_fmt, seed=svg_seed)
+        return visual_repr.render_svg_pair(
+            meta.hypergraph, meta.hypergraph_b, visual_fmt, seed=svg_seed, layouts=layouts
+        )
+    layout = None if layouts is None else layouts[0]
+    return visual_repr.render_svg(meta.hypergraph, visual_fmt, seed=svg_seed, layout=layout)
 
 
 def answer_spec_row(meta: MetaProblem) -> dict:
@@ -470,23 +485,34 @@ def _encode_rows(rows: list[dict]) -> str:
     return "".join(lines)
 
 
-def _write_svgs(meta: MetaProblem, images_dir: Path) -> None:
-    """Each of the meta's SVGs, written once at its first sample path and
-    hard-linked at the other six, or copied there where a link fails."""
-    for visual_fmt in VISUAL_FORMATS:
-        svg = render_meta_svg(meta, visual_fmt)
-        first, *others = (images_dir / f"{meta.id}__{text_fmt}__{visual_fmt}.svg" for text_fmt in TEXT_FORMATS)
-        first.write_text(svg, encoding="utf-8")
-        for path in others:
-            path.unlink(missing_ok=True)
-            try:
-                os.link(first, path)
-            except OSError:
-                path.write_text(svg, encoding="utf-8")
+def _write_svgs(metas: list[MetaProblem], images_dir: Path) -> None:
+    """Each SVG of the metas, written once at its first sample path and
+    hard-linked at the other six, or copied there where a link fails.  The
+    Cli-Exp spring layouts of all the metas' hypergraphs are computed first,
+    as one batch; each SVG is then drawn and written in turn."""
+    from . import visual_repr
+
+    drawn = [(meta, (meta.hypergraph,) if meta.hypergraph_b is None else (meta.hypergraph, meta.hypergraph_b))
+             for meta in metas]
+    springs = iter(visual_repr.layout_springs(
+        (h.n, h.vertex_pairs(), _svg_seed(meta, "Cli-Exp")) for meta, graphs in drawn for h in graphs
+    ))
+    for meta, graphs in drawn:
+        spring = [next(springs) for _ in graphs]
+        for visual_fmt in VISUAL_FORMATS:
+            svg = render_meta_svg(meta, visual_fmt, spring if visual_fmt == "Cli-Exp" else None)
+            first, *others = (images_dir / f"{meta.id}__{text_fmt}__{visual_fmt}.svg" for text_fmt in TEXT_FORMATS)
+            first.write_text(svg, encoding="utf-8")
+            for path in others:
+                path.unlink(missing_ok=True)
+                try:
+                    os.link(first, path)
+                except OSError:
+                    path.write_text(svg, encoding="utf-8")
 
 
 _WORKER_CONTEXT = None  # a worker process's (master_seed, pool, images_dir), set once by _init_worker
-_CHUNK = 8  # metas sent to a worker at once
+_CHUNK = 8  # metas made, laid out and encoded together, and sent to a worker at once
 _CHUNKS_PER_JOB = 4  # chunks submitted and not yet consumed, per worker
 
 
@@ -497,32 +523,33 @@ def _init_worker(*context) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _emit_meta(assignment, context=None) -> str:
-    """Make one meta, write its SVGs unless ``images_dir`` is None, and return
-    its 35 manifest lines, encoded.  ``context`` is ``(master_seed, pool,
-    images_dir)``; in a worker process it defaults to ``_WORKER_CONTEXT``."""
+def _chunks(assignments):
+    return (assignments[start:start + _CHUNK] for start in range(0, len(assignments), _CHUNK))
+
+
+def _emit_chunk(assignments, context=None) -> list[str]:
+    """Make a chunk of metas, write their SVGs unless ``images_dir`` is None,
+    and return each meta's 35 manifest lines, encoded.  ``context`` is
+    ``(master_seed, pool, images_dir)``; in a worker process it defaults to
+    ``_WORKER_CONTEXT``."""
     master_seed, pool, images_dir = context or _WORKER_CONTEXT
-    meta = make_meta(*assignment, master_seed, pool)
+    metas = [make_meta(*assignment, master_seed, pool) for assignment in assignments]
     if images_dir is not None:
-        _write_svgs(meta, images_dir)
-    return _encode_rows(sample_rows(meta))
-
-
-def _emit_chunk(assignments) -> list[str]:
-    return [_emit_meta(assignment) for assignment in assignments]
+        _write_svgs(metas, images_dir)
+    return [_encode_rows(sample_rows(meta)) for meta in metas]
 
 
 def _emit_in_pool(ex, assignments, jobs: int):
-    """``_emit_meta``'s results in order, made by the process pool ``ex`` in
+    """``_emit_chunk``'s results in order, made by the process pool ``ex`` in
     chunks of ``_CHUNK`` metas with at most ``_CHUNKS_PER_JOB * jobs`` chunks
     pending; the chunks still pending are cancelled when the generator is
     closed or interrupted."""
     pending = deque()
     try:
-        for start in range(0, len(assignments), _CHUNK):
+        for chunk in _chunks(assignments):
             if len(pending) == _CHUNKS_PER_JOB * jobs:
                 yield from pending.popleft().result()
-            pending.append(ex.submit(_emit_chunk, assignments[start:start + _CHUNK]))
+            pending.append(ex.submit(_emit_chunk, chunk))
         while pending:
             yield from pending.popleft().result()
     finally:
@@ -569,7 +596,7 @@ def emit_corpus(
                 # interrupted emit waits only for the chunks already running
                 emitted = stack.enter_context(closing(_emit_in_pool(ex, assignments, jobs)))
             else:
-                emitted = map(_emit_meta, assignments, repeat(context))
+                emitted = chain.from_iterable(map(_emit_chunk, _chunks(assignments), repeat(context)))
             mf = stack.enter_context(open(partial_path, "w", encoding="utf-8"))
             for (task, idx, scale, source), lines in zip(assignments, emitted):
                 if log:

@@ -170,6 +170,8 @@ def _cmd_solve(args) -> int:
         answer = spec.solve(h, params, h_b)
     except (ValueError, IndexError) as exc:  # a parameter the solver rejects
         raise UsageError(str(exc))
+    except RecursionError:  # the 3-CL, HHM and ISM searches recurse once per vertex
+        raise UsageError(f"graph too deep for the {args.task} search: {h.n} vertices") from None
     print(json.dumps({"task": args.task, **answer}, sort_keys=True))
     return 0
 

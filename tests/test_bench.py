@@ -243,7 +243,7 @@ def test_interrupted_emit_leaves_the_old_manifest(tmp_path, monkeypatch, fault):
 @pytest.mark.parametrize("task", TASKS)
 def test_emit_meta_lines_are_json_dumps_of_the_rows(task, source):
     context = (11, None, None)
-    lines = bench._emit_meta((task, 0, "small", source), context)
+    [lines] = bench._emit_chunk([(task, 0, "small", source)], context)
     meta = make_meta(task, 0, "small", source, 11)
     assert lines == "".join(json.dumps(row, sort_keys=True) + "\n" for row in sample_rows(meta))
     if task == "ISM":

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperbench import bench, make_meta, read_jsonl, save_json
+from hyperbench import Hypergraph, bench, make_meta, read_jsonl, save_json
 from hyperbench.bench import plan_assignments, sample_rows
 from hyperbench.cli import main
 from hyperbench.grade import canonical_answer_text, corrupted_answer_text
@@ -107,6 +107,17 @@ def test_solve_rejected_params_are_usage_errors(hstar_file, capsys, args, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [["--task", "3cl"], ["--task", "hhm", "--s", "0", "--t", "1499"]], ids=["3cl", "hhm"])
+def test_solve_on_a_graph_deeper_than_the_recursion_limit_is_a_usage_error(tmp_path, capsys, args):
+    # the searches recurse once per vertex: a 1,500-vertex chain overflows the stack
+    graph = tmp_path / "chain.json"
+    save_json(Hypergraph(1500, [(i, i + 1) for i in range(1499)]), graph)
+    assert main(["solve", "--graph", str(graph), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: graph too deep for the {args[1]} search: 1500 vertices\n"
 
 
 @pytest.mark.parametrize("cmd", ["emit", "generate"])
