@@ -10,9 +10,10 @@ makes, renders and encodes each chunk of ``_CHUNK`` metas, in ``jobs``
 worker processes or in this one; the parent appends the encoded lines in
 emission order.
 
-Each distinct byte is made once.  A meta's 35 rows share its answer spec and
-the 5 rows of a text format share its prompt, so each of those is encoded
-once and the rows are joined through one line template.  Each (meta, visual)
+Each distinct byte is made once.  ``sample_rows`` is the one row writer: it
+fills a meta's fields and answer spec into a line template once, encodes
+each text format's prompt once for its 5 rows, and returns the meta's 35
+manifest lines as one string; no row is built as a dict.  Each (meta, visual)
 SVG is written once, at its first sample path; the other six paths are hard
 links to it, or copies where the filesystem refuses a link.  A chunk's
 Cli-Exp spring layouts, ISM pairs' included, are computed together in one
@@ -372,40 +373,40 @@ def render_meta_svg(meta: MetaProblem, visual_fmt: str, layouts=None) -> str:
     return visual_repr.render_svg(meta.hypergraph, visual_fmt, seed=svg_seed, layout=layout)
 
 
-def answer_spec_row(meta: MetaProblem) -> dict:
-    """Self-contained answer record: kind/value plus the graph(s) and params,
-    so graded re-verification never needs the generator."""
-    spec = dict(meta.answer)
-    spec["graph"] = to_json_dict(meta.hypergraph)
+# a manifest line, its fields in sorted key order as json.dumps(row,
+# sort_keys=True) writes them; sample_rows fills in a meta's fields, leaving
+# a template whose %s are the fields that differ between its 35 rows
+_ROW_LINE = (
+    '{"answer_spec": %s, "image_path": %%s, "level": %s, "meta_id": %s, "prompt": %%s, "sample_id": %%s, '
+    '"scale": %s, "source": %s, "task": %s, "text_format": %%s, "visual_format": %%s}\n'
+)
+_FORMAT_JSON = {fmt: json_str(fmt) for fmt in TEXT_FORMATS + VISUAL_FORMATS}
+
+
+def sample_rows(meta: MetaProblem) -> str:
+    """The meta's 35 manifest lines, in text-major combo order.
+
+    A sample's row holds the meta's fields, its text and visual formats, its
+    prompt and image path, and the answer spec: kind/value plus the graph(s)
+    and params, so graded re-verification never needs the generator.  Each
+    line is ``json.dumps(row, sort_keys=True)`` and a newline.  The meta's
+    fields and answer spec are encoded once into the line template, and each
+    text format's prompt once for its 5 rows."""
+    spec = {**meta.answer, "graph": to_json_dict(meta.hypergraph), "params": meta.params}
     if meta.hypergraph_b is not None:
         spec["graph_b"] = to_json_dict(meta.hypergraph_b)
-    spec["params"] = dict(meta.params)
-    return spec
-
-
-def sample_rows(meta: MetaProblem) -> list[dict]:
-    """The 35 manifest rows of one meta, in text-major combo order."""
-    prompts = {fmt: prompt_for(meta, fmt) for fmt in TEXT_FORMATS}
-    spec = answer_spec_row(meta)
-    rows = []
-    for text_fmt, visual_fmt in ALL_COMBOS:
-        sample_id = f"{meta.id}__{text_fmt}__{visual_fmt}"
-        rows.append(
-            {
-                "sample_id": sample_id,
-                "meta_id": meta.id,
-                "task": meta.task,
-                "level": meta.level,
-                "scale": meta.scale,
-                "source": meta.source,
-                "text_format": text_fmt,
-                "visual_format": visual_fmt,
-                "prompt": prompts[text_fmt],
-                "image_path": f"images/{sample_id}.svg",
-                "answer_spec": spec,
-            }
-        )
-    return rows
+    fixed = (json.dumps(spec, sort_keys=True), str(meta.level), json_str(meta.id), json_str(meta.scale),
+             json_str(meta.source), json_str(meta.task))
+    # each % of a fixed field doubled, so that it is a literal % in the filled template
+    line = _ROW_LINE % tuple(field.replace("%", "%%") for field in fixed)
+    lines = []
+    for text_fmt in TEXT_FORMATS:
+        prompt = json_str(prompt_for(meta, text_fmt))
+        for visual_fmt in VISUAL_FORMATS:
+            sample_id = f"{meta.id}__{text_fmt}__{visual_fmt}"
+            lines.append(line % (json_str(f"images/{sample_id}.svg"), prompt, json_str(sample_id),
+                                 _FORMAT_JSON[text_fmt], _FORMAT_JSON[visual_fmt]))
+    return "".join(lines)
 
 
 def plan_mix(count: int, labels, weights, rng: random.Random) -> list[str]:
@@ -433,56 +434,6 @@ def plan_assignments(per_task: int, master_seed: int, source_mix=(1, 1)):
         for idx in range(per_task):
             out.append((task, idx, scales[idx], sources[idx]))
     return out
-
-
-# a manifest line: the fields of a sample_rows row in sorted key order, as
-# json.dumps(row, sort_keys=True) writes them
-_ROW_LINE = (
-    '{"answer_spec": %s, "image_path": %s, "level": %d, "meta_id": %s, "prompt": %s, "sample_id": %s, '
-    '"scale": %s, "source": %s, "task": %s, "text_format": %s, "visual_format": %s}\n'
-)
-
-
-_FORMAT_JSON = {fmt: json_str(fmt) for fmt in TEXT_FORMATS + VISUAL_FORMATS}
-
-
-def _encode_rows(rows: list[dict]) -> str:
-    """``sample_rows(meta)`` as manifest lines: each is ``json.dumps(row,
-    sort_keys=True)`` and a newline.  The rows share the meta's fields and
-    answer spec, which are encoded once into a line template, and the rows
-    of a text format share one prompt, encoded once too."""
-    first = rows[0]
-
-    def fixed(text: str) -> str:  # a field of the template, not a placeholder
-        return text.replace("%", "%%")
-
-    line = _ROW_LINE % (
-        fixed(json.dumps(first["answer_spec"], sort_keys=True)),
-        "%s",
-        first["level"],
-        fixed(json_str(first["meta_id"])),
-        "%s",
-        "%s",
-        fixed(json_str(first["scale"])),
-        fixed(json_str(first["source"])),
-        fixed(json_str(first["task"])),
-        "%s",
-        "%s",
-    )
-    prompts: dict[str, str] = {}
-    lines = []
-    for row in rows:
-        prompt = prompts.get(row["prompt"])
-        if prompt is None:
-            prompt = prompts[row["prompt"]] = json_str(row["prompt"])
-        lines.append(line % (
-            json_str(row["image_path"]),
-            prompt,
-            json_str(row["sample_id"]),
-            _FORMAT_JSON[row["text_format"]],
-            _FORMAT_JSON[row["visual_format"]],
-        ))
-    return "".join(lines)
 
 
 def _write_svgs(metas: list[MetaProblem], images_dir: Path) -> None:
@@ -536,7 +487,7 @@ def _emit_chunk(assignments, context=None) -> list[str]:
     metas = [make_meta(*assignment, master_seed, pool) for assignment in assignments]
     if images_dir is not None:
         _write_svgs(metas, images_dir)
-    return [_encode_rows(sample_rows(meta)) for meta in metas]
+    return [sample_rows(meta) for meta in metas]
 
 
 def _emit_in_pool(ex, assignments, jobs: int):

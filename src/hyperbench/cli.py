@@ -17,7 +17,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import generate as gen
-from .bench import TASK_TABLE, emit_corpus, plan_assignments
+from .bench import SOURCES, TASK_TABLE, emit_corpus, plan_assignments
 from .core import VISUAL_FORMATS, Hypergraph, iter_jsonl, load_json, save_json
 from .grade import (
     CERTIFICATE_KINDS,
@@ -43,6 +43,7 @@ class UsageError(Exception):
 # CLI task names are the task ids in lower case without hyphens (3-CL -> 3cl)
 _CLI_TASKS = {spec.id.lower().replace("-", ""): spec for spec in TASK_TABLE}
 _VERIFY_TASKS = [name for name, spec in _CLI_TASKS.items() if spec.kind in CERTIFICATE_KINDS]
+_GENERATE_TASKS = ["generic"] + [name for name, spec in _CLI_TASKS.items() if spec.build is not None]
 _PARAM_FLAGS = {"u": "v"}  # the vertex parameter is spelled --v
 _NAMED_METAS = 10  # skipped metas that prm names on stderr
 # the golden text renderings of the reference hypergraph, shipped with the package
@@ -374,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write hypergraph JSON files")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--task", choices=["generic", "3cl", "shc", "hhm", "ism"], default="generic")
-    p.add_argument("--scale", choices=["small", "medium", "large"], default="small")
-    p.add_argument("--source", choices=["synthetic", "real"], default="synthetic")
+    p.add_argument("--task", choices=_GENERATE_TASKS, default="generic")
+    p.add_argument("--scale", choices=gen.SCALE_CLASSES, default="small")
+    p.add_argument("--source", choices=SOURCES, default="synthetic")
     p.add_argument("--pool", help="source pool file (.json or hMETIS) for real subsampling")
     p.add_argument("--out", default=_default_out())
 

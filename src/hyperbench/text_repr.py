@@ -30,13 +30,13 @@ class ParseError(ValueError):
         self.position = position
 
 
-def english_join(items, oxford: bool) -> str:
-    """Join names with commas; oxford=True adds ", and"/" and " before the last."""
+def english_join(items) -> str:
+    """Join names with commas and ", and"/" and " before the last."""
     items = list(items)
     if not items:
         raise ValueError("cannot join an empty list")
-    if not oxford or len(items) == 1:
-        return ", ".join(items)
+    if len(items) == 1:
+        return items[0]
     if len(items) == 2:
         return f"{items[0]} and {items[1]}"
     return ", ".join(items[:-1]) + f", and {items[-1]}"
@@ -48,8 +48,8 @@ def _names(h: Hypergraph) -> tuple[list[str], list[str]]:
 
 
 def _header(name: str, vn: list[str], en: list[str], joiner: str) -> str:
-    es = english_join(en, oxford=True) if en else "none"
-    return f"{name} describes a hypergraph among vertices {english_join(vn, oxford=True)}{joiner} hyperedges {es}."
+    es = english_join(en) if en else "none"
+    return f"{name} describes a hypergraph among vertices {english_join(vn)}{joiner} hyperedges {es}."
 
 
 def _phrase(names: list[str], singular: str = "vertex", plural: str = "vertices") -> str:

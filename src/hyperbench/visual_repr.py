@@ -227,12 +227,13 @@ def ring_positions(count: int, radius: float) -> np.ndarray:
 
 
 def layout_rows(num_top: int, num_bottom: int, width: float, height: float):
-    """Evenly spaced points on two horizontal lines at 0.15/0.85 of height."""
-    top = np.array([[width * (i + 1) / (num_top + 1), height * 0.15] for i in range(num_top)])
-    bottom = np.array(
-        [[width * (i + 1) / (num_bottom + 1), height * 0.85] for i in range(num_bottom)]
-    )
-    return top, bottom
+    """Evenly spaced points on two horizontal lines at 0.15/0.85 of height,
+    each row of shape ``(count, 2)``, an empty one included."""
+
+    def row(count: int, y: float):
+        return np.array([[width * (i + 1) / (count + 1), y] for i in range(count)]).reshape(count, 2)
+
+    return row(num_top, height * 0.15), row(num_bottom, height * 0.85)
 
 
 def convex_hull(points) -> list[tuple[float, float]]:

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from hyperbench import Hypergraph
+from hyperbench.bench import sample_rows
 
 
 @pytest.fixture
@@ -21,3 +23,8 @@ def random_hypergraph(rng: random.Random, nmax: int = 8, mmax: int = 8) -> Hyper
 @pytest.fixture
 def make_random():
     return random_hypergraph
+
+
+def manifest_rows(meta) -> list[dict]:
+    """The meta's 35 manifest rows, decoded from the lines ``sample_rows`` writes."""
+    return [json.loads(line) for line in sample_rows(meta).splitlines()]

@@ -14,7 +14,6 @@ from hyperbench.bench import (
     ALL_COMBOS,
     TASK_SPECS,
     TASKS,
-    answer_spec_row,
     plan_assignments,
     plan_mix,
     prompt_for,
@@ -23,8 +22,11 @@ from hyperbench.bench import (
     sample_params,
     sample_rows,
 )
+from hyperbench.core import to_json_dict
 from hyperbench.text_repr import TEXT_FORMATS
 from hyperbench.visual_repr import VISUAL_FORMATS
+
+from conftest import manifest_rows
 
 
 def test_task_tables():
@@ -111,7 +113,7 @@ def test_prompt_for_ism_names_both_graphs():
 
 def test_sample_rows_shape():
     meta = make_meta("OMF", 2, "small", "synthetic", 17)
-    rows = sample_rows(meta)
+    rows = manifest_rows(meta)
     assert len(rows) == 35
     combos = [(r["text_format"], r["visual_format"]) for r in rows]
     assert combos == list(ALL_COMBOS)
@@ -124,7 +126,7 @@ def test_sample_rows_shape():
 
 def test_answer_spec_contains_graph():
     meta = make_meta("3-CL", 1, "small", "synthetic", 23)
-    spec = answer_spec_row(meta)
+    spec = manifest_rows(meta)[0]["answer_spec"]
     assert spec["graph"]["n"] == meta.hypergraph.n
     assert "params" in spec
 
@@ -239,17 +241,54 @@ def test_interrupted_emit_leaves_the_old_manifest(tmp_path, monkeypatch, fault):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["manifest.jsonl"]
 
 
+def _dict_rows(meta):
+    """The 35 manifest rows of one meta as dicts, in text-major combo order:
+    how ``sample_rows`` built them before it wrote the lines directly."""
+    prompts = {fmt: prompt_for(meta, fmt) for fmt in TEXT_FORMATS}
+    spec = dict(meta.answer)
+    spec["graph"] = to_json_dict(meta.hypergraph)
+    if meta.hypergraph_b is not None:
+        spec["graph_b"] = to_json_dict(meta.hypergraph_b)
+    spec["params"] = dict(meta.params)
+    rows = []
+    for text_fmt, visual_fmt in ALL_COMBOS:
+        sample_id = f"{meta.id}__{text_fmt}__{visual_fmt}"
+        rows.append(
+            {
+                "sample_id": sample_id,
+                "meta_id": meta.id,
+                "task": meta.task,
+                "level": meta.level,
+                "scale": meta.scale,
+                "source": meta.source,
+                "text_format": text_fmt,
+                "visual_format": visual_fmt,
+                "prompt": prompts[text_fmt],
+                "image_path": f"images/{sample_id}.svg",
+                "answer_spec": spec,
+            }
+        )
+    return rows
+
+
 @pytest.mark.parametrize("source", bench.SOURCES)
 @pytest.mark.parametrize("task", TASKS)
 def test_emit_meta_lines_are_json_dumps_of_the_rows(task, source):
     context = (11, None, None)
     [lines] = bench._emit_chunk([(task, 0, "small", source)], context)
     meta = make_meta(task, 0, "small", source, 11)
-    assert lines == "".join(json.dumps(row, sort_keys=True) + "\n" for row in sample_rows(meta))
+    assert lines == sample_rows(meta)
+    assert lines == "".join(json.dumps(row, sort_keys=True) + "\n" for row in _dict_rows(meta))
     if task == "ISM":
         assert '"graph_b": ' in lines
     if task == "SHC":
         assert "\\u2229" in lines  # the question's non-ASCII intersection sign, escaped
+
+
+def test_sample_rows_keeps_a_percent_sign_in_a_fixed_field():
+    meta = make_meta("VC", 0, "small", "synthetic", 11)
+    meta.params = {"note": "100% of %s"}  # filled into the line template with the answer spec
+    assert sample_rows(meta) == "".join(json.dumps(row, sort_keys=True) + "\n" for row in _dict_rows(meta))
 
 
 def _image_groups(images):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import signal
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from hyperbench import Hypergraph, bench, make_meta, read_jsonl, save_json
-from hyperbench.bench import plan_assignments, sample_rows
-from hyperbench.cli import main
+from hyperbench.bench import plan_assignments
+from hyperbench.cli import build_parser, main
 from hyperbench.grade import canonical_answer_text, corrupted_answer_text
+
+from conftest import manifest_rows
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -53,6 +56,17 @@ def test_generate_ism(tmp_path, capsys):
     assert info["isomorphic"] in (True, False)
     assert (out / "g-0000-a.json").is_file()
     assert (out / "g-0000-b.json").is_file()
+
+
+def test_generate_takes_the_tables_choices():
+    parser = build_parser()
+    [commands] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    choices = {action.dest: sorted(action.choices) for action in commands.choices["generate"]._actions if action.choices}
+    assert choices == {
+        "task": ["3cl", "generic", "hhm", "ism", "shc"],
+        "scale": ["large", "medium", "small"],
+        "source": ["real", "synthetic"],
+    }
 
 
 def test_render_text_stdout(hstar_file, capsys):
@@ -295,7 +309,7 @@ def test_grade_missing_manifest(tmp_path):
 @pytest.fixture
 def vc_manifest(tmp_path):
     """A one-meta VC manifest and its 35 rows."""
-    rows = sample_rows(make_meta("VC", 0, "small", "synthetic", 3))
+    rows = manifest_rows(make_meta("VC", 0, "small", "synthetic", 3))
     path = tmp_path / "manifest.jsonl"
     path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows), encoding="utf-8")
     return path, rows
@@ -395,7 +409,7 @@ def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, 
     ],
 )
 def test_grade_unusable_certificate_row_is_usage_error(tmp_path, capsys, cmd, case, message):
-    rows = sample_rows(make_meta("HHM", 0, "small", "synthetic", 3))
+    rows = manifest_rows(make_meta("HHM", 0, "small", "synthetic", 3))
     spec = rows[0]["answer_spec"]
     graph, params, n = spec["graph"], spec["params"], spec["graph"]["n"]
     broken = {
@@ -423,7 +437,7 @@ def test_grade_unusable_certificate_row_is_usage_error(tmp_path, capsys, cmd, ca
 @pytest.mark.parametrize("cmd", ["grade", "prm"])
 @pytest.mark.parametrize("reply", ["Ans: no idea", None, "Ans: Coloring:[v0:c0]"])
 def test_grade_unbuildable_certificate_graph_exits_2_whatever_the_replies(tmp_path, capsys, cmd, reply):
-    row = sample_rows(make_meta("3-CL", 0, "small", "synthetic", 3))[0]
+    row = manifest_rows(make_meta("3-CL", 0, "small", "synthetic", 3))[0]
     graph = row["answer_spec"]["graph"]
     row["answer_spec"] = {**row["answer_spec"], "graph": {**graph, "edges": [*graph["edges"], [0, 99]]}}
     manifest = tmp_path / "manifest.jsonl"
@@ -466,7 +480,7 @@ def test_grade_reports_unanswered_samples(tmp_path, vc_manifest, capsys, cmd):
 
 
 def test_prm_names_the_skipped_metas_in_one_line(tmp_path, capsys):
-    rows = [row for i in range(12) for row in sample_rows(make_meta("VC", i, "small", "synthetic", 3))]
+    rows = [row for i in range(12) for row in manifest_rows(make_meta("VC", i, "small", "synthetic", 3))]
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows), encoding="utf-8")
     # every meta but the last lacks its Inc-Mat + Cli-Exp response

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperbench import aggregate, build_prm, emit_corpus, grade, grade_responses, make_meta, read_jsonl
-from hyperbench.bench import ALL_COMBOS, TASKS, sample_rows
+from hyperbench.bench import ALL_COMBOS, TASKS
 from hyperbench.core import from_json_dict, to_json_dict, write_jsonl
 from hyperbench.grade import (
     GradeOptions,
@@ -22,6 +22,8 @@ from hyperbench.grade import (
     write_prm,
 )
 from hyperbench.text_repr import TEXT_FORMATS
+
+from conftest import manifest_rows
 
 STRICT = GradeOptions(lenient=False)
 
@@ -521,7 +523,7 @@ def test_kind_mismatch_is_flagged():
 
 
 def test_row_with_its_own_graph_is_judged_against_it():
-    rows = sample_rows(make_meta("3-CL", 0, "small", "synthetic", 5))
+    rows = manifest_rows(make_meta("3-CL", 0, "small", "synthetic", 5))
     coloring = parse_answer("3-CL", canonical_answer_text(rows[0])).value
     u, v = next((u, v) for u in coloring for v in coloring if u < v and coloring[u] == coloring[v])
     # a hyperedge the shared coloring leaves monochromatic, on one middle row only
@@ -547,14 +549,14 @@ def test_each_certificate_meta_builds_one_graph(tmp_path, monkeypatch):
 
 
 def test_index_shares_one_built_graph_among_the_rows_of_a_meta():
-    rows = sample_rows(make_meta("HHM", 0, "small", "synthetic", 3))
+    rows = manifest_rows(make_meta("HHM", 0, "small", "synthetic", 3))
     slim = list(grade.index_manifest(json.loads(json.dumps(row)) for row in rows).values())
     assert all(r["graph"] is slim[0]["graph"] for r in slim)
     assert slim[0]["graph"] == from_json_dict(rows[0]["answer_spec"]["graph"])
 
 
 def test_index_keeps_slim_rows_sharing_one_spec_per_meta():
-    rows = sample_rows(make_meta("VC", 0, "small", "synthetic", 3))
+    rows = manifest_rows(make_meta("VC", 0, "small", "synthetic", 3))
     index = grade.index_manifest(json.loads(json.dumps(row)) for row in rows)  # streamed, one decode per row
     slim = list(index.values())
     assert [r["sample_id"] for r in slim] == [r["sample_id"] for r in rows]

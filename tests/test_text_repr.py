@@ -34,12 +34,11 @@ def test_unknown_format(hstar):
 
 
 def test_english_join():
-    assert text_repr.english_join(["a"], oxford=True) == "a"
-    assert text_repr.english_join(["a", "b"], oxford=True) == "a and b"
-    assert text_repr.english_join(["a", "b", "c"], oxford=True) == "a, b, and c"
-    assert text_repr.english_join(["a", "b", "c"], oxford=False) == "a, b, c"
+    assert text_repr.english_join(["a"]) == "a"
+    assert text_repr.english_join(["a", "b"]) == "a and b"
+    assert text_repr.english_join(["a", "b", "c"]) == "a, b, and c"
     with pytest.raises(ValueError):
-        text_repr.english_join([], oxford=True)
+        text_repr.english_join([])
 
 
 def test_custom_graph_name(hstar):

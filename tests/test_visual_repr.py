@@ -93,6 +93,17 @@ def test_svg_wellformed(hstar):
         ET.fromstring(render_svg(hstar, fmt, seed=9))
 
 
+@pytest.mark.parametrize("fmt", VISUAL_FORMATS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_edgeless_hypergraph_is_drawn_alone_and_as_a_pair(fmt, n):
+    import xml.etree.ElementTree as ET
+
+    h = Hypergraph(n, [])
+    for svg, sides in ((render_svg(h, fmt, seed=3), 1), (render_svg_pair(h, h, fmt, seed=3), 2)):
+        ET.fromstring(svg)
+        assert all(svg.count(f">v{v}<") == sides for v in range(n))
+
+
 def test_layout_stress_reduces_energy():
     rng = np.random.default_rng(0)
     links = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -108,6 +119,8 @@ def test_layout_shapes():
     assert layout_spring(3, [(0, 1)], seed=2).shape == (3, 2)
     top, bottom = layout_rows(2, 4, 100.0, 50.0)
     assert top.shape == (2, 2) and bottom.shape == (4, 2)
+    top, bottom = layout_rows(1, 0, 100.0, 50.0)
+    assert top.shape == (1, 2) and bottom.shape == (0, 2)
     ring = ring_positions(4, 1.0)
     assert np.allclose(ring[0], [1.0, 0.0])
 
