@@ -10,6 +10,10 @@ makes, renders and encodes each chunk of ``_CHUNK`` metas, in ``jobs``
 worker processes or in this one; the parent appends the encoded lines in
 emission order.
 
+``_certified`` builds each 3-CL, SHC and HHM meta: the task's constructor
+plants the certificate for a synthetic meta, and for a real one the task's
+search finds it on a subsample (both give ``(h, certificate)`` in one shape).
+
 Each distinct byte is made once.  ``sample_rows`` is the one row writer: it
 fills a meta's fields and answer spec into a line template once, encodes
 each text format's prompt once for its 5 rows, and returns the meta's 35
@@ -42,29 +46,27 @@ from collections import deque
 from collections.abc import Callable
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
 
+from . import generate
 from .core import VISUAL_FORMATS, Hypergraph, json_str, to_json_dict
 from .generate import (
-    GenSpec,
     SCALE_CLASSES,
+    SOURCES,
+    GenSpec,
     SourcePool,
-    demo_pool,
     derive_seed,
     gen_3cl_instance,
+    gen_generic,
     gen_hhm_instance,
     gen_ism_pair,
-    gen_random_connected,
     gen_shc_instance,
-    subsample_real,
 )
 from .solve import solve_dvc, solve_ism, solve_oec, solve_omf, solve_osp
 from .text_repr import TEXT_FORMATS, render_text
 from .verify import find_3cl, find_hhm, find_hhm_any, find_shc, format_coloring, format_cycle, format_path
 
-SOURCES = ("synthetic", "real")
 SCALE_MIX = (1, 2, 1)  # small:medium:large, the paper's split
 
 # all 35 combos, text-major order
@@ -108,48 +110,28 @@ def _solve_osp(h: Hypergraph, p: dict, _h_b) -> dict:
     return {"value": res.total_weight, "witness": list(res.witness) if res.witness else None}
 
 
-def _subsample_with(pool: SourcePool, spec: GenSpec, search):
-    """A real subsample on which ``search`` finds a certificate, and that
-    certificate (the one found while accepting the subsample)."""
-    found = []
-
-    def require(g: Hypergraph) -> bool:
-        found.append(search(g))
-        return found[-1] is not None
-
-    return subsample_real(pool, spec, require=require), found[-1]
-
-
 def _build_ism(spec: GenSpec, pool):
     pair = gen_ism_pair(spec, pool)
     return pair.a, pair.b, {}, pair.isomorphic
 
 
-def _build_3cl(spec: GenSpec, pool):
+def _certified(spec: GenSpec, pool, construct, search, fmt, params=lambda cert: {}):
+    """A certified task's ``(h, None, params(cert), fmt(cert))``.  For a real
+    spec, ``h`` is a subsample of ``pool`` on which ``search`` finds ``cert``
+    (the certificate found while accepting it); otherwise ``construct(spec)``
+    plants both."""
     if spec.source == "real":
-        h, coloring = _subsample_with(pool, spec, find_3cl)
+        found = []
+
+        def require(g: Hypergraph) -> bool:
+            found.append(search(g))
+            return found[-1] is not None
+
+        h = generate.subsample_real(pool, spec, require=require)
+        cert = found[-1]
     else:
-        inst = gen_3cl_instance(spec)
-        h, coloring = inst.hypergraph, inst.coloring
-    return h, None, {}, format_coloring(coloring)
-
-
-def _build_shc(spec: GenSpec, pool):
-    if spec.source == "real":
-        h, cycle = _subsample_with(pool, spec, find_shc)
-    else:
-        inst = gen_shc_instance(spec)
-        h, cycle = inst.hypergraph, inst.cycle
-    return h, None, {}, format_cycle(cycle)
-
-
-def _build_hhm(spec: GenSpec, pool):
-    if spec.source == "real":
-        h, (steps, s, t) = _subsample_with(pool, spec, find_hhm_any)
-    else:
-        inst = gen_hhm_instance(spec)
-        h, s, t, steps = inst.hypergraph, inst.start, inst.end, inst.path
-    return h, None, {"s": s, "t": t}, format_path(steps)
+        h, cert = construct(spec)
+    return h, None, params(cert), fmt(cert)
 
 
 TASK_TABLE = (
@@ -235,7 +217,9 @@ TASK_TABLE = (
         "nodes with at least 2 different colors (assign each vertex a color from "
         '{{c0, c1, c2}}). List the answer after "Ans:" as "Coloring:[v0:c0,v1:c1,...]".',
         solve=lambda h, p, _: {"value": find_3cl(h)},
-        build=_build_3cl,
+        # each helper is looked up on this module at each call, so that one
+        # replaced here (as by a tracer) is the one that runs
+        build=lambda spec, pool: _certified(spec, pool, gen_3cl_instance, find_3cl, format_coloring),
     ),
     TaskSpec(
         "SHC", 4, "cycle",
@@ -245,7 +229,7 @@ TASK_TABLE = (
         '|e_k ∩ e_1| = 1, forming a closed loop). List the hypercycle after "Ans:" '
         'as "Cycle:[e0,e1,...]".',
         solve=lambda h, p, _: {"value": find_shc(h)},
-        build=_build_shc,
+        build=lambda spec, pool: _certified(spec, pool, gen_shc_instance, find_shc, format_cycle),
     ),
     TaskSpec(
         "HHM", 4, "path",
@@ -254,7 +238,8 @@ TASK_TABLE = (
         'List the answer after "Ans:" as "Path:[e0,e1,...]".',
         solve=lambda h, p, _: {"value": find_hhm(h, p["s"], p["t"])},
         params=("s", "t"),
-        build=_build_hhm,
+        build=lambda spec, pool: _certified(spec, pool, gen_hhm_instance, find_hhm_any,
+                                            lambda cert: format_path(cert[0]), lambda cert: dict(s=cert[1], t=cert[2])),
     ),
 )
 TASK_SPECS = {spec.id: spec for spec in TASK_TABLE}
@@ -294,9 +279,6 @@ def sample_params(h: Hypergraph, task: str, seed: int) -> dict:
     return draw(h, random.Random(derive_seed(seed, "params"))) if draw else {}
 
 
-_default_pool = cache(demo_pool)  # built once per process, on first real-source use
-
-
 def make_meta(
     task: str,
     index: int,
@@ -309,14 +291,11 @@ def make_meta(
     spec = task_spec(task)
     seed = derive_seed(master_seed, task, index)
     gen_spec = GenSpec(task, scale, source, seed)
-    if source == "real" and pool is None:
-        pool = _default_pool()
     if spec.build is not None:
         h, h2, params, value = spec.build(gen_spec, pool)
         answer = {"kind": spec.kind, "value": value}
     else:
-        h = subsample_real(pool, gen_spec) if source == "real" else gen_random_connected(gen_spec)
-        h2 = None
+        h, h2 = gen_generic(gen_spec, pool), None
         params = sample_params(h, task, seed)
         answer = {"kind": spec.kind, **spec.solve(h, params, None)}
     return MetaProblem(

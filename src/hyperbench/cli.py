@@ -17,7 +17,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import generate as gen
-from .bench import SOURCES, TASK_TABLE, emit_corpus, plan_assignments
+from .bench import TASK_TABLE, emit_corpus, plan_assignments
 from .core import VISUAL_FORMATS, Hypergraph, iter_jsonl, load_json, save_json
 from .grade import (
     CERTIFICATE_KINDS,
@@ -71,6 +71,15 @@ def _load(what: str, loader, path: str):
         raise UsageError(f"bad {what} file {path}: {exc}")
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory ``path``, made if missing; a usage error if it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc.strerror}")
+    return Path(path)
+
+
 def _load_graph(path: str) -> Hypergraph:
     return _load("graph", load_json, path)
 
@@ -97,20 +106,12 @@ def _load_pool(path: str | None, scales) -> gen.SourcePool | None:
 
 
 def _cmd_generate(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args.out)
     pool = _load_pool(args.pool, [args.scale] if args.source == "real" else [])
-    if args.source == "real" and pool is None:
-        pool = gen.demo_pool()
     for i in range(args.count):
-        spec = gen.GenSpec(
-            task="generic",
-            scale=args.scale,
-            source=args.source,
-            seed=gen.derive_seed(args.seed, "cli-gen", i),
-        )
+        spec = gen.GenSpec("generic", args.scale, args.source, gen.derive_seed(args.seed, "cli-gen", i))
         if args.task == "generic":
-            h = gen.subsample_real(pool, spec) if args.source == "real" else gen.gen_random_connected(spec)
+            h = gen.gen_generic(spec, pool)
         else:  # the task's own constructor, or certified real subsample
             h, h_b, _, value = _CLI_TASKS[args.task].build(spec, pool)
             if h_b is not None:
@@ -129,6 +130,8 @@ def _cmd_generate(args) -> int:
 def _cmd_render(args) -> int:
     h = _load_graph(args.graph)
     if args.format in TEXT_FORMATS:
+        if args.graph_b:
+            raise UsageError(f"--graph-b is for a side-by-side SVG, not the text format {args.format}")
         text = render_text(h, args.format)
     elif args.format in VISUAL_FORMATS:
         from . import visual_repr  # numpy, imported only to draw
@@ -142,7 +145,10 @@ def _cmd_render(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}")
     return 0
 
 
@@ -206,8 +212,8 @@ def _cmd_emit(args) -> int:
     summary = emit_corpus(
         per_task=args.per_task,
         master_seed=args.seed,
-        outdir=args.out,
         pool=_load_pool(args.pool, real_scales),
+        outdir=_out_dir(args.out),
         source_mix=source_mix,
         jobs=args.jobs,
         write_images=not args.dry_run,
@@ -247,8 +253,7 @@ def _grade_files(args):
 
 def _cmd_grade(args) -> int:
     manifest, records = _grade_files(args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args.out)
     write_grades(records, outdir / "grades.jsonl")
     table = aggregate(records, manifest)
     (outdir / "accuracy.csv").write_text(table.to_csv(), encoding="utf-8")
@@ -273,8 +278,7 @@ def _cmd_prm(args) -> int:
     if skipped:
         named = ", ".join(skipped[:_NAMED_METAS]) + (", ..." if len(skipped) > _NAMED_METAS else "")
         print(f"{len(skipped)} metas lack graded responses for some combos and were skipped: {named}", file=sys.stderr)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args.out)
     path = outdir / "prm.jsonl"
     write_prm(pairs, path)
     print(json.dumps({"pairs": len(pairs), "path": str(path)}, sort_keys=True))
@@ -348,12 +352,12 @@ def _cmd_selfcheck(args) -> int:
     gen_ok = True
     for i in range(5):
         seed = gen.derive_seed(0xC0FFEE, "selfcheck-gen", i)
-        shc = gen.gen_shc_instance(gen.GenSpec(task="SHC", scale="small", seed=seed))
-        gen_ok &= verify_shc(shc.hypergraph, shc.cycle)
-        hhm = gen.gen_hhm_instance(gen.GenSpec(task="HHM", scale="small", seed=seed))
-        gen_ok &= verify_hhm(hhm.hypergraph, hhm.path, hhm.start, hhm.end)
-        tcl = gen.gen_3cl_instance(gen.GenSpec(task="3-CL", scale="small", seed=seed))
-        gen_ok &= verify_3cl(tcl.hypergraph, tcl.coloring)
+        g, cycle = gen.gen_shc_instance(gen.GenSpec(task="SHC", scale="small", seed=seed))
+        gen_ok &= verify_shc(g, cycle)
+        g, (steps, s, t) = gen.gen_hhm_instance(gen.GenSpec(task="HHM", scale="small", seed=seed))
+        gen_ok &= verify_hhm(g, steps, s, t)
+        g, coloring = gen.gen_3cl_instance(gen.GenSpec(task="3-CL", scale="small", seed=seed))
+        gen_ok &= verify_3cl(g, coloring)
     report("constructor certificates", gen_ok)
 
     print(f"selfcheck: {'PASS' if failures == 0 else f'{failures} FAILURE(S)'}")
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--task", choices=_GENERATE_TASKS, default="generic")
     p.add_argument("--scale", choices=gen.SCALE_CLASSES, default="small")
-    p.add_argument("--source", choices=SOURCES, default="synthetic")
+    p.add_argument("--source", choices=gen.SOURCES, default="synthetic")
     p.add_argument("--pool", help="source pool file (.json or hMETIS) for real subsampling")
     p.add_argument("--out", default=_default_out())
 

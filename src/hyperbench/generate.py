@@ -6,6 +6,11 @@ All randomness flows from integer seeds through ``derive_seed``; the same
 seed always reproduces the same instance.  Synthetic instances keep
 |E| within [ceil(0.2|V|), floor(1.5|V|)] and hyperedge orders within
 [2, min(6, |V|)]; every emitted hypergraph is connected.
+
+``gen_generic`` draws every generic instance from its source; a real one
+subsamples ``demo_pool`` unless given a pool.  The planted constructors return
+``(h, certificate)``, the certificate shaped as ``verify``'s search returns it
+for a real subsample: a coloring, a cycle, or ``(steps, s, t)``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 
 from .core import Hypergraph, loads, parse_hmetis
 from .solve import solve_ism
@@ -21,6 +27,7 @@ from .verify import verify_hhm, verify_shc
 
 SCALE_RANGES = {"small": (5, 10), "medium": (10, 15), "large": (15, 20)}
 SCALE_CLASSES = ("small", "medium", "large")
+SOURCES = ("synthetic", "real")
 MAX_ORDER = 6
 
 
@@ -40,17 +47,6 @@ def derive_seed(master: int, *labels) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def classify_scale(n: int) -> str:
-    """Scale class of a vertex count; boundary values go to the lower class."""
-    if n < SCALE_RANGES["small"][0] or n > SCALE_RANGES["large"][1]:
-        raise ValueError(f"vertex count {n} outside benchmark scale 5..20")
-    if n <= SCALE_RANGES["small"][1]:
-        return "small"
-    if n <= SCALE_RANGES["medium"][1]:
-        return "medium"
-    return "large"
-
-
 def edge_count_bounds(n: int) -> tuple[int, int]:
     """Admissible synthetic hyperedge count band for n vertices."""
     return max(1, math.ceil(0.2 * n)), math.floor(1.5 * n)
@@ -68,28 +64,8 @@ class GenSpec:
     def __post_init__(self):
         if self.scale not in SCALE_RANGES:
             raise ValueError(f"unknown scale class {self.scale!r}")
-        if self.source not in ("synthetic", "real"):
+        if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
-
-
-@dataclass(frozen=True)
-class ShcInstance:
-    hypergraph: Hypergraph
-    cycle: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HhmInstance:
-    hypergraph: Hypergraph
-    start: int
-    end: int
-    path: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ThreeColInstance:
-    hypergraph: Hypergraph
-    coloring: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -143,8 +119,9 @@ def gen_random_connected(spec: GenSpec) -> Hypergraph:
     raise GenerationError(f"random generation failed for {spec}")
 
 
-def gen_3cl_instance(spec: GenSpec) -> ThreeColInstance:
-    """Random connected instance with a planted valid 3-coloring.
+def gen_3cl_instance(spec: GenSpec) -> tuple[Hypergraph, tuple[int, ...]]:
+    """Random connected instance with a planted valid 3-coloring, as
+    ``(h, coloring)``.
 
     Every proposed hyperedge is re-drawn (or minimally repaired) until it
     spans at least two color classes, so the planted coloring verifies by
@@ -182,7 +159,7 @@ def gen_3cl_instance(spec: GenSpec) -> ThreeColInstance:
             edges.append(repaired(_random_edge(rng, n, cap)))
         h = Hypergraph(n, edges)
         if h.is_connected():
-            return ThreeColInstance(h, tuple(colors))
+            return h, tuple(colors)
     raise GenerationError(f"3-coloring generation failed for {spec}")
 
 
@@ -193,8 +170,8 @@ def _shuffle_and_remap(rng: random.Random, edges: list) -> tuple[list, dict[int,
     return [edges[old] for old in order], new_pos
 
 
-def gen_shc_instance(spec: GenSpec) -> ShcInstance:
-    """Instance with a planted strict hypercycle.
+def gen_shc_instance(spec: GenSpec) -> tuple[Hypergraph, tuple[int, ...]]:
+    """Instance with a planted strict hypercycle, as ``(h, cycle)``.
 
     A ring of L junction vertices is wrapped into L backbone edges (edge i
     holds junctions i and i+1 plus private filler vertices), so consecutive
@@ -229,12 +206,12 @@ def gen_shc_instance(spec: GenSpec) -> ShcInstance:
         cycle = tuple(new_pos[i] for i in range(ring_len))
         h = Hypergraph(n, shuffled)
         if h.is_connected() and verify_shc(h, cycle):
-            return ShcInstance(h, cycle)
+            return h, cycle
     raise GenerationError(f"hypercycle generation failed for {spec}")
 
 
-def gen_hhm_instance(spec: GenSpec) -> HhmInstance:
-    """Instance with a planted Hamiltonian path.
+def gen_hhm_instance(spec: GenSpec) -> tuple[Hypergraph, tuple[tuple[int, ...], int, int]]:
+    """Instance with a planted Hamiltonian path, as ``(h, (steps, s, t))``.
 
     A random vertex order is cut into overlapping windows (each window is a
     consecutive run, the next window starting at the previous window's last
@@ -259,7 +236,7 @@ def gen_hhm_instance(spec: GenSpec) -> HhmInstance:
         path = tuple(new_pos[w] for w in step_window)
         h = Hypergraph(n, shuffled)
         if h.is_connected() and verify_hhm(h, path, pi[0], pi[-1]):
-            return HhmInstance(h, pi[0], pi[-1], path)
+            return h, (path, pi[0], pi[-1])
     raise GenerationError(f"Hamiltonian-path generation failed for {spec}")
 
 
@@ -306,10 +283,11 @@ def _mutate(rng: random.Random, h: Hypergraph) -> Hypergraph | None:
     return Hypergraph(h.n, [tuple(sorted(e)) for e in edges])
 
 
-def gen_ism_pair(spec: GenSpec, pool: "SourcePool | None" = None) -> IsmPair:
+def gen_ism_pair(spec: GenSpec, pool: SourcePool | None = None) -> IsmPair:
     """Pair of hypergraphs with a ground-truth isomorphism label.
 
-    Positive pairs (probability 1/2) relabel the base through a random vertex
+    The base is ``gen_generic``'s instance of the spec's source.  Positive
+    pairs (probability 1/2) relabel the base through a random vertex
     permutation and shuffle the edge order.  Negative pairs apply small
     structural mutations until the mutant is connected and provably
     non-isomorphic, then relabel it too.
@@ -317,13 +295,7 @@ def gen_ism_pair(spec: GenSpec, pool: "SourcePool | None" = None) -> IsmPair:
     rng = random.Random(derive_seed(spec.seed, "ism"))
     positive = rng.random() < 0.5
     for attempt in range(32):
-        base_spec = GenSpec(spec.task, spec.scale, spec.source, derive_seed(spec.seed, "ism-base", attempt))
-        if spec.source == "real":
-            if pool is None:
-                raise ValueError("real-source generation requires a source pool")
-            base = subsample_real(pool, base_spec)
-        else:
-            base = gen_random_connected(base_spec)
+        base = gen_generic(replace(spec, seed=derive_seed(spec.seed, "ism-base", attempt)), pool)
         perm = list(range(base.n))
         rng.shuffle(perm)
         if positive:
@@ -363,8 +335,10 @@ def load_pool(path) -> SourcePool:
     return SourcePool(parse_hmetis(text), name)
 
 
+@cache
 def demo_pool() -> SourcePool:
-    """Built-in deterministic stand-in for a real source hypergraph."""
+    """Built-in deterministic stand-in for a real source hypergraph, built
+    once per process."""
     rng = random.Random(derive_seed(0x48594745, "demo-pool"))
     n = 60
     edges = [_random_edge(rng, n, 6) for _ in range(110)]
@@ -373,8 +347,15 @@ def demo_pool() -> SourcePool:
     return SourcePool(Hypergraph(n, edges), "demo")
 
 
-def subsample_real(pool: SourcePool, spec: GenSpec, require=None) -> Hypergraph:
-    """Random-walk subsample of a pool, renumbered by visitation order.
+def gen_generic(spec: GenSpec, pool: SourcePool | None = None) -> Hypergraph:
+    """The generic instance of ``spec``: a subsample of ``pool`` for a real
+    source, else a random connected hypergraph."""
+    return subsample_real(pool, spec) if spec.source == "real" else gen_random_connected(spec)
+
+
+def subsample_real(pool: SourcePool | None, spec: GenSpec, require=None) -> Hypergraph:
+    """Random-walk subsample of a pool (``demo_pool()`` when None),
+    renumbered by visitation order.
 
     Walks vertex -> random incident hyperedge -> random member until a
     vertex count drawn from the scale range is collected, then keeps each
@@ -385,6 +366,8 @@ def subsample_real(pool: SourcePool, spec: GenSpec, require=None) -> Hypergraph:
     the count drawn, or if its largest component does (a walk never leaves
     the component it starts in).
     """
+    if pool is None:
+        pool = demo_pool()
     big = pool.hypergraph
     lo, hi = SCALE_RANGES[spec.scale]
     for walk in range(10_000):

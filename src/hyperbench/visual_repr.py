@@ -86,24 +86,17 @@ def _hop_distances(num_nodes: int, links) -> np.ndarray:
     return dist
 
 
-def stress_energy(pos: np.ndarray, dist: np.ndarray, weight: np.ndarray) -> float:
-    delta = pos[:, None, :] - pos[None, :, :]
-    d = np.sqrt((delta**2).sum(axis=2))
-    off = ~np.eye(len(pos), dtype=bool)
-    return float((weight[off] * (d[off] - dist[off]) ** 2).sum() / 2.0)
-
-
 def layout_stress(num_nodes: int, links, seed: int = 0) -> np.ndarray:
     """Minimize sum_{i<j} w_ij (|p_i - p_j| - d_ij)^2, w_ij = d_ij^-2.
 
     Seeded random start, gradient descent with a backtracking line search;
     stops on relative energy change below 1e-4 or after 500 iterations.
 
-    The energy is ``stress_energy``'s, with its mask and masked weights made
-    once.  The coordinate differences are kept as two ``[j, i]`` arrays,
-    ``x_i - x_j`` and ``y_i - y_j``; the distances are symmetric, so each
-    gradient sum over ``j`` runs along the outer axis, in index order, as it
-    did over ``(n, n, 2)`` differences, and the positions are the same bits.
+    The energy's off-diagonal mask and masked weights are made once.  The
+    coordinate differences are kept as two ``[j, i]`` arrays, ``x_i - x_j``
+    and ``y_i - y_j``; the distances are symmetric, so each gradient sum over
+    ``j`` runs along the outer axis, in index order, as it did over
+    ``(n, n, 2)`` differences, and the positions are the same bits.
     The differences and distances of the trial a line search accepts are
     those of the next gradient, so they are kept, not computed again.
     """

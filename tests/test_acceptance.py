@@ -39,9 +39,9 @@ from hyperbench.generate import (
     derive_seed,
     edge_count_bounds,
     gen_3cl_instance,
+    gen_generic,
     gen_hhm_instance,
     gen_ism_pair,
-    gen_random_connected,
     gen_shc_instance,
     relabel,
     subsample_real,
@@ -124,12 +124,12 @@ def test_criterion_2_constructor_soundness():
     for i in range(1000):
         scale = scales[i % 3]
         seed = derive_seed(SEED, "plant", i)
-        c3 = gen_3cl_instance(GenSpec("3-CL", scale, "synthetic", seed))
-        bad += not verify_3cl(c3.hypergraph, c3.coloring)
-        shc = gen_shc_instance(GenSpec("SHC", scale, "synthetic", seed))
-        bad += not verify_shc(shc.hypergraph, shc.cycle)
-        hhm = gen_hhm_instance(GenSpec("HHM", scale, "synthetic", seed))
-        bad += not verify_hhm(hhm.hypergraph, hhm.path, hhm.start, hhm.end)
+        h, coloring = gen_3cl_instance(GenSpec("3-CL", scale, "synthetic", seed))
+        bad += not verify_3cl(h, coloring)
+        h, cycle = gen_shc_instance(GenSpec("SHC", scale, "synthetic", seed))
+        bad += not verify_shc(h, cycle)
+        h, (steps, s, t) = gen_hhm_instance(GenSpec("HHM", scale, "synthetic", seed))
+        bad += not verify_hhm(h, steps, s, t)
     label_disagreements = 0
     labels = set()
     for i in range(1000):
@@ -177,23 +177,23 @@ def test_criterion_3_structural_constraints():
 
                 graphs = [subsample_real(pool, spec, require=lambda g: find_3cl(g) is not None)]
             else:
-                graphs = [gen_3cl_instance(spec).hypergraph]
+                graphs = [gen_3cl_instance(spec)[0]]
         elif task == "SHC":
             if source == "real":
                 from hyperbench.verify import find_shc
 
                 graphs = [subsample_real(pool, spec, require=lambda g: find_shc(g) is not None)]
             else:
-                graphs = [gen_shc_instance(spec).hypergraph]
+                graphs = [gen_shc_instance(spec)[0]]
         elif task == "HHM":
             if source == "real":
                 from hyperbench.verify import find_hhm_any
 
                 graphs = [subsample_real(pool, spec, require=lambda g: find_hhm_any(g) is not None)]
             else:
-                graphs = [gen_hhm_instance(spec).hypergraph]
+                graphs = [gen_hhm_instance(spec)[0]]
         else:
-            graphs = [subsample_real(pool, spec) if source == "real" else gen_random_connected(spec)]
+            graphs = [gen_generic(spec, pool)]
         lo_n, hi_n = SCALE_RANGES[scale]
         for h in graphs:
             disconnected += not h.is_connected()

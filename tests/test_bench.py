@@ -9,7 +9,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from hyperbench import bench, emit_corpus, make_meta, read_jsonl
+from hyperbench import bench, emit_corpus, generate, make_meta, read_jsonl
 from hyperbench.bench import (
     ALL_COMBOS,
     TASK_SPECS,
@@ -35,6 +35,45 @@ def test_task_tables():
     assert len(VISUAL_FORMATS) == 5
     assert len(ALL_COMBOS) == 35
     assert sorted(spec.level for spec in TASK_SPECS.values()) == sorted([1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4])
+
+
+CERTIFIED_HELPERS = {
+    "3-CL": ("gen_3cl_instance", "find_3cl"),
+    "SHC": ("gen_shc_instance", "find_shc"),
+    "HHM": ("gen_hhm_instance", "find_hhm_any"),
+}
+
+
+@pytest.mark.parametrize("source", bench.SOURCES)
+@pytest.mark.parametrize("task", list(CERTIFIED_HELPERS))
+def test_make_meta_reaches_the_helpers_on_their_modules_at_each_call(monkeypatch, task, source):
+    """A certified task's builder looks up its constructor and search on
+    ``bench``, and the subsampler on ``generate``, when it runs, so that a
+    helper replaced there (as a tracer replaces it) is the one called."""
+    want = make_meta(task, 0, "small", source, 5)
+    calls = collections.Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    construct, search = CERTIFIED_HELPERS[task]
+    counting(bench, construct)
+    counting(bench, search)
+    counting(generate, "subsample_real")
+    got = make_meta(task, 0, "small", source, 5)
+    assert (got.hypergraph, got.params, got.answer) == (want.hypergraph, want.params, want.answer)
+    if source == "real":
+        assert calls[construct] == 0
+        assert calls["subsample_real"] == 1
+        assert calls[search] >= 1
+    else:
+        assert calls == {construct: 1}
 
 
 def test_make_meta_deterministic():

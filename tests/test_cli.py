@@ -89,6 +89,40 @@ def test_render_missing_graph(tmp_path):
     assert main(["render", "--graph", str(tmp_path / "nope.json"), "--format", "N-Set"]) == 2
 
 
+def test_render_second_graph_in_a_text_format_is_usage_error(hstar_file, capsys):
+    args = ["render", "--graph", str(hstar_file), "--graph-b", str(hstar_file), "--format", "N-Set"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --graph-b is for a side-by-side SVG, not the text format N-Set\n"
+
+
+def test_render_to_a_missing_directory_is_usage_error(hstar_file, tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.txt"
+    assert main(["render", "--graph", str(hstar_file), "--format", "N-Set", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("cmd", ["emit", "generate", "grade", "prm"])
+def test_out_on_an_existing_file_is_usage_error(tmp_path, vc_manifest, capsys, cmd):
+    manifest, rows = vc_manifest
+    responses = tmp_path / "resp.jsonl"
+    responses.write_text(json.dumps({"sample_id": rows[0]["sample_id"], "response": "Ans: 1"}) + "\n", encoding="utf-8")
+    afile = tmp_path / "afile"
+    afile.write_text("in the way\n", encoding="utf-8")
+    args = {
+        "emit": ["--seed", "1", "--per-task", "1", "--dry-run"],
+        "generate": ["--seed", "1"],
+        "grade": ["--manifest", str(manifest), "--responses", str(responses)],
+        "prm": ["--manifest", str(manifest), "--responses", str(responses)],
+    }[cmd]
+    assert main([cmd, *args, "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: cannot create output directory {afile}: File exists\n")
+    assert "Traceback" not in err
+    assert afile.read_text(encoding="utf-8") == "in the way\n"
+
+
 def test_graph_with_out_of_range_vertex_is_usage_error(tmp_path, capsys):
     graph = tmp_path / "g.json"
     graph.write_text('{"n": 3, "edges": [[0, 5]]}', encoding="utf-8")
@@ -516,13 +550,15 @@ def test_sigint_to_a_parallel_emit_is_one_line_and_exit_130(tmp_path):
     parent and its workers, prints no worker traceback."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "out"
-    args = ["emit", "--seed", "1", "--per-task", "200", "--jobs", "2", "--dry-run", "--out", str(out)]
+    # 24,000 metas: too many to finish before the signal, however loaded the host
+    args = ["emit", "--seed", "1", "--per-task", "2000", "--jobs", "2", "--dry-run", "--out", str(out)]
     proc = subprocess.Popen([sys.executable, "-m", "hyperbench.cli", *args], env=env, start_new_session=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     partial = out / "manifest.jsonl.tmp"
     deadline = time.monotonic() + 60
     while not (partial.exists() and partial.stat().st_size) and time.monotonic() < deadline:
         time.sleep(0.02)  # until the workers have sent their first metas
+    assert proc.poll() is None
     os.killpg(proc.pid, signal.SIGINT)
     stdout, stderr = proc.communicate(timeout=60)
     assert (proc.returncode, stdout, stderr) == (130, "", "error: interrupted\n")

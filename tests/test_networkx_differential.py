@@ -8,7 +8,7 @@ import random
 import pytest
 
 from hyperbench import Hypergraph, solve_ism, solve_omf, solve_osp
-from hyperbench.generate import GenSpec, demo_pool, gen_ism_pair, gen_random_connected, relabel, subsample_real
+from hyperbench.generate import GenSpec, gen_generic, gen_ism_pair, relabel
 
 nx = pytest.importorskip("networkx")
 
@@ -16,8 +16,7 @@ CASES = 10  # per scale and source
 
 
 def _graph(scale: str, source: str, seed: int) -> Hypergraph:
-    spec = GenSpec("generic", scale, source, seed)
-    return subsample_real(demo_pool(), spec) if source == "real" else gen_random_connected(spec)
+    return gen_generic(GenSpec("generic", scale, source, seed))
 
 
 def _disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
@@ -104,7 +103,7 @@ def _ism_pairs():
     for scale in ("medium", "large"):
         for source in ("synthetic", "real"):
             for i in range(CASES):
-                yield gen_ism_pair(GenSpec("ISM", scale, source, 7919 * i + 1), demo_pool())
+                yield gen_ism_pair(GenSpec("ISM", scale, source, 7919 * i + 1))
 
 
 def _switched_pairs():

@@ -218,14 +218,12 @@ def test_find_hhm_matches_plain_dfs_on_real_subsamples(scale):
 
 def test_find_hhm_matches_plain_dfs_on_planted_paths():
     for i in range(100):
-        inst = gen_hhm_instance(GenSpec("HHM", "small", "synthetic", derive_seed(6, "small", i)))
-        h = inst.hypergraph
+        h, (_, s, t) = gen_hhm_instance(GenSpec("HHM", "small", "synthetic", derive_seed(6, "small", i)))
         assert find_hhm_any(h) == _plain_find_hhm_any(h)
-        assert find_hhm(h, inst.start, inst.end) == _plain_find_hhm(h, inst.start, inst.end)
+        assert find_hhm(h, s, t) == _plain_find_hhm(h, s, t)
     for i in range(40):
-        inst = gen_hhm_instance(GenSpec("HHM", "medium", "synthetic", derive_seed(6, "medium", i)))
-        h = inst.hypergraph
-        assert find_hhm(h, inst.start, inst.end) == _plain_find_hhm(h, inst.start, inst.end)
+        h, (_, s, t) = gen_hhm_instance(GenSpec("HHM", "medium", "synthetic", derive_seed(6, "medium", i)))
+        assert find_hhm(h, s, t) == _plain_find_hhm(h, s, t)
 
 
 @st.composite

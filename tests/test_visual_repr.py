@@ -16,8 +16,15 @@ from hyperbench.visual_repr import (
     layout_stress,
     render_svg_pair,
     ring_positions,
-    stress_energy,
 )
+
+
+def stress_energy(pos: np.ndarray, dist: np.ndarray, weight: np.ndarray) -> float:
+    """The stress ``layout_stress`` minimizes, from the (n, n, 2) differences."""
+    delta = pos[:, None, :] - pos[None, :, :]
+    d = np.sqrt((delta**2).sum(axis=2))
+    off = ~np.eye(len(pos), dtype=bool)
+    return float((weight[off] * (d[off] - dist[off]) ** 2).sum() / 2.0)
 
 
 def _edge_label_present(svg: str, j: int) -> bool:
