@@ -8,19 +8,23 @@ a 1:1 synthetic:real source mix, and writes the SVGs and a JSONL manifest
 (keys sorted, no timestamps, byte-stable for a fixed seed).  One function
 makes, renders and encodes each chunk of ``_CHUNK`` metas, in ``jobs``
 worker processes or in this one; the parent appends the encoded lines in
-emission order.
+emission order.  A worker appends a chunk's lines to its own spool file, in
+a temporary directory inside the output directory, and returns only where
+they are (the file, an offset, each meta's length in bytes); the parent
+reads them from there, so no manifest byte is pickled through the pool's
+result pipe, and none waits in the parent's memory for its turn.
 
 ``_certified`` builds each 3-CL, SHC and HHM meta: the task's constructor
 plants the certificate for a synthetic meta, and for a real one the task's
 search finds it on a subsample (both give ``(h, certificate)`` in one shape).
 
 Each distinct byte is made once.  ``sample_rows`` is the one row writer: it
-fills a meta's fields and answer spec into a line template once, encodes
-each text format's prompt once for its 5 rows, and returns the meta's 35
-manifest lines as one string; no row is built as a dict.  Each (meta, visual)
-SVG is written once, at its first sample path; the other six paths are hard
-links to it, or copies where the filesystem refuses a link.  A chunk's
-Cli-Exp spring layouts, ISM pairs' included, are computed together in one
+encodes a meta's fields and answer spec once, each text format's prompt once
+for its 5 rows, and joins the meta's 35 manifest lines from those parts into
+one string; no row is built as a dict.  Each (meta, visual) SVG is written
+once, at its first sample path; the other six paths are hard links to it, or
+copies where the filesystem refuses a link.  A chunk's Cli-Exp spring
+layouts, ISM pairs' included, are computed together in one
 ``visual_repr.layout_springs`` batch before its SVGs are drawn: a layout is
 100 steps of numpy calls over at most 20 points, so a batch pays each call's
 overhead once, and its positions are those of laying each graph out alone.
@@ -352,14 +356,11 @@ def render_meta_svg(meta: MetaProblem, visual_fmt: str, layouts=None) -> str:
     return visual_repr.render_svg(meta.hypergraph, visual_fmt, seed=svg_seed, layout=layout)
 
 
-# a manifest line, its fields in sorted key order as json.dumps(row,
-# sort_keys=True) writes them; sample_rows fills in a meta's fields, leaving
-# a template whose %s are the fields that differ between its 35 rows
-_ROW_LINE = (
-    '{"answer_spec": %s, "image_path": %%s, "level": %s, "meta_id": %s, "prompt": %%s, "sample_id": %%s, '
-    '"scale": %s, "source": %s, "task": %s, "text_format": %%s, "visual_format": %%s}\n'
-)
-_FORMAT_JSON = {fmt: json_str(fmt) for fmt in TEXT_FORMATS + VISUAL_FORMATS}
+# the parts of a manifest line that depend on a format alone, each with the
+# key that follows it: the line's keys are in sorted order, as
+# json.dumps(row, sort_keys=True) writes them
+_TEXT_PART = {fmt: json_str(fmt) + ', "visual_format": ' for fmt in TEXT_FORMATS}
+_VISUAL_PART = {fmt: json_str(fmt) + "}\n" for fmt in VISUAL_FORMATS}
 
 
 def sample_rows(meta: MetaProblem) -> str:
@@ -368,24 +369,24 @@ def sample_rows(meta: MetaProblem) -> str:
     A sample's row holds the meta's fields, its text and visual formats, its
     prompt and image path, and the answer spec: kind/value plus the graph(s)
     and params, so graded re-verification never needs the generator.  Each
-    line is ``json.dumps(row, sort_keys=True)`` and a newline.  The meta's
-    fields and answer spec are encoded once into the line template, and each
-    text format's prompt once for its 5 rows."""
+    line is ``json.dumps(row, sort_keys=True)`` and a newline, joined from
+    parts: the meta's fields and answer spec are encoded once, each text
+    format's prompt once for its 5 rows."""
     spec = {**meta.answer, "graph": to_json_dict(meta.hypergraph), "params": meta.params}
     if meta.hypergraph_b is not None:
         spec["graph_b"] = to_json_dict(meta.hypergraph_b)
-    fixed = (json.dumps(spec, sort_keys=True), str(meta.level), json_str(meta.id), json_str(meta.scale),
-             json_str(meta.source), json_str(meta.task))
-    # each % of a fixed field doubled, so that it is a literal % in the filled template
-    line = _ROW_LINE % tuple(field.replace("%", "%%") for field in fixed)
-    lines = []
+    head = f'{{"answer_spec": {json.dumps(spec, sort_keys=True)}, "image_path": '
+    ident = f', "level": {meta.level}, "meta_id": {json_str(meta.id)}, "prompt": '
+    tail = (f', "scale": {json_str(meta.scale)}, "source": {json_str(meta.source)}, '
+            f'"task": {json_str(meta.task)}, "text_format": ')
+    parts = []
     for text_fmt in TEXT_FORMATS:
-        prompt = json_str(prompt_for(meta, text_fmt))
+        prompt = json_str(prompt_for(meta, text_fmt)) + ', "sample_id": '
         for visual_fmt in VISUAL_FORMATS:
             sample_id = f"{meta.id}__{text_fmt}__{visual_fmt}"
-            lines.append(line % (json_str(f"images/{sample_id}.svg"), prompt, json_str(sample_id),
-                                 _FORMAT_JSON[text_fmt], _FORMAT_JSON[visual_fmt]))
-    return "".join(lines)
+            parts += (head, json_str(f"images/{sample_id}.svg"), ident, prompt, json_str(sample_id), tail,
+                      _TEXT_PART[text_fmt], _VISUAL_PART[visual_fmt])
+    return "".join(parts)
 
 
 def plan_mix(count: int, labels, weights, rng: random.Random) -> list[str]:
@@ -442,15 +443,17 @@ def _write_svgs(metas: list[MetaProblem], images_dir: Path) -> None:
 
 
 _WORKER_CONTEXT = None  # a worker process's (master_seed, pool, images_dir), set once by _init_worker
+_SPOOL = None  # a worker process's spool file, opened once by _init_worker
 _CHUNK = 8  # metas made, laid out and encoded together, and sent to a worker at once
 _CHUNKS_PER_JOB = 4  # chunks submitted and not yet consumed, per worker
 
 
-def _init_worker(*context) -> None:
-    global _WORKER_CONTEXT
+def _init_worker(spool_dir, *context) -> None:
+    global _WORKER_CONTEXT, _SPOOL
     _WORKER_CONTEXT = context
     # Ctrl-C reaches the whole process group; the parent alone handles it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _SPOOL = open(os.path.join(spool_dir, str(os.getpid())), "xb")
 
 
 def _chunks(assignments):
@@ -469,19 +472,38 @@ def _emit_chunk(assignments, context=None) -> list[str]:
     return [sample_rows(meta) for meta in metas]
 
 
+def _spool_chunk(assignments) -> tuple[str, int, list[int]]:
+    """``_emit_chunk`` in a worker process, its lines appended to the
+    worker's spool and flushed; returns where they are: the spool's path,
+    their offset in it and each meta's length in bytes."""
+    encoded = [lines.encode() for lines in _emit_chunk(assignments)]
+    offset = _SPOOL.tell()
+    _SPOOL.writelines(encoded)
+    _SPOOL.flush()
+    return _SPOOL.name, offset, [len(lines) for lines in encoded]
+
+
+def _read_spooled(path: str, offset: int, lengths: list[int]):
+    """Each meta's manifest bytes of a chunk that ``_spool_chunk`` spooled."""
+    with open(path, "rb") as spool:
+        spool.seek(offset)
+        for length in lengths:
+            yield spool.read(length)
+
+
 def _emit_in_pool(ex, assignments, jobs: int):
-    """``_emit_chunk``'s results in order, made by the process pool ``ex`` in
-    chunks of ``_CHUNK`` metas with at most ``_CHUNKS_PER_JOB * jobs`` chunks
-    pending; the chunks still pending are cancelled when the generator is
-    closed or interrupted."""
+    """Each meta's manifest bytes in order, made by the process pool ``ex``
+    in chunks of ``_CHUNK`` metas with at most ``_CHUNKS_PER_JOB * jobs``
+    chunks pending, and read back from the workers' spools; the chunks still
+    pending are cancelled when the generator is closed or interrupted."""
     pending = deque()
     try:
         for chunk in _chunks(assignments):
             if len(pending) == _CHUNKS_PER_JOB * jobs:
-                yield from pending.popleft().result()
-            pending.append(ex.submit(_emit_chunk, chunk))
+                yield from _read_spooled(*pending.popleft().result())
+            pending.append(ex.submit(_spool_chunk, chunk))
         while pending:
-            yield from pending.popleft().result()
+            yield from _read_spooled(*pending.popleft().result())
     finally:
         for future in pending:
             future.cancel()
@@ -520,14 +542,21 @@ def emit_corpus(
         with ExitStack() as stack:
             if jobs > 1:
                 from concurrent.futures import ProcessPoolExecutor  # imported only for a pooled emit
+                from tempfile import TemporaryDirectory
 
-                ex = stack.enter_context(ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=context))
+                # the workers' spool files; entered before the pool, so that
+                # it is removed after the pool shuts down, however the emit ends
+                spool_dir = stack.enter_context(TemporaryDirectory(dir=outdir, prefix=".manifest-spool-"))
+                ex = stack.enter_context(
+                    ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(spool_dir, *context))
+                )
                 # closed before the pool shuts down, so that a failed or
                 # interrupted emit waits only for the chunks already running
                 emitted = stack.enter_context(closing(_emit_in_pool(ex, assignments, jobs)))
             else:
-                emitted = chain.from_iterable(map(_emit_chunk, _chunks(assignments), repeat(context)))
-            mf = stack.enter_context(open(partial_path, "w", encoding="utf-8"))
+                made = chain.from_iterable(map(_emit_chunk, _chunks(assignments), repeat(context)))
+                emitted = (lines.encode() for lines in made)
+            mf = stack.enter_context(open(partial_path, "wb"))
             for (task, idx, scale, source), lines in zip(assignments, emitted):
                 if log:
                     log(f"meta {task}-{idx:04d} ({scale}/{source})")

@@ -209,11 +209,15 @@ def _cmd_emit(args) -> int:
     real_scales = {
         scale for _, _, scale, source in plan_assignments(args.per_task, args.seed, source_mix) if source == "real"
     }
+    pool = _load_pool(args.pool, real_scales)
+    outdir = _out_dir(args.out)
+    if not args.dry_run:
+        _out_dir(str(outdir / "images"))
     summary = emit_corpus(
         per_task=args.per_task,
         master_seed=args.seed,
-        pool=_load_pool(args.pool, real_scales),
-        outdir=_out_dir(args.out),
+        pool=pool,
+        outdir=outdir,
         source_mix=source_mix,
         jobs=args.jobs,
         write_images=not args.dry_run,

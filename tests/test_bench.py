@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import os
+import pickle
 import random
 import signal
 from concurrent.futures import Future
@@ -387,6 +388,18 @@ def test_emit_copies_an_image_where_a_link_fails(tmp_path, monkeypatch):
     assert all(path.stat().st_nlink == 1 for path in (copied / "images").glob("*.svg"))
 
 
+def _spooled(spool, lines) -> Future:
+    """A finished future holding what a pooled chunk returns for ``lines``,
+    one string per meta, appended to the file ``spool``."""
+    encoded = [line.encode() for line in lines]
+    with open(spool, "ab") as fh:
+        offset = fh.tell()
+        fh.writelines(encoded)
+    future = Future()
+    future.set_result((str(spool), offset, [len(line) for line in encoded]))
+    return future
+
+
 def test_parallel_emit_keeps_a_bounded_number_of_chunks_pending(tmp_path, monkeypatch):
     submitted, consumed = [], []
 
@@ -395,43 +408,92 @@ def test_parallel_emit_keeps_a_bounded_number_of_chunks_pending(tmp_path, monkey
 
         def submit(self, fn, chunk):
             submitted.append(chunk)
-            future = Future()
-            future.set_result([f"{task}-{idx}" for task, idx, *_ in chunk])
-            return future
+            return _spooled(tmp_path / "spool", [f"{task}-{idx}" for task, idx, *_ in chunk])
 
     assignments = plan_assignments(10, 1)  # 120 metas, 15 chunks
     for line in bench._emit_in_pool(Recorder(), assignments, jobs=2):
-        consumed.append(line)
+        consumed.append(line.decode())
         assert len(submitted) * bench._CHUNK - len(consumed) <= bench._CHUNKS_PER_JOB * 2 * bench._CHUNK
     assert consumed == [f"{task}-{idx}" for task, idx, *_ in assignments]
     assert [len(chunk) for chunk in submitted] == [bench._CHUNK] * 15
 
 
-def test_closing_a_parallel_emit_cancels_the_pending_chunks():
+def test_closing_a_parallel_emit_cancels_the_pending_chunks(tmp_path):
     futures = []
 
     class FirstChunkOnly:
         """An executor that runs only the first chunk submitted."""
 
         def submit(self, fn, chunk):
-            futures.append(Future())
-            if len(futures) == 1:
-                futures[0].set_result(["line"] * len(chunk))
+            futures.append(_spooled(tmp_path / "spool", ["line"] * len(chunk)) if not futures else Future())
             return futures[-1]
 
     emitted = bench._emit_in_pool(FirstChunkOnly(), plan_assignments(10, 1), jobs=1)
-    assert next(emitted) == "line"
+    assert next(emitted) == b"line"
     assert len(futures) == bench._CHUNKS_PER_JOB
     emitted.close()
     assert all(future.cancelled() for future in futures[1:])
 
 
-def test_workers_leave_ctrl_c_to_the_parent(monkeypatch):
+def test_workers_leave_ctrl_c_to_the_parent(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "_WORKER_CONTEXT", None)
+    monkeypatch.setattr(bench, "_SPOOL", None)
     handler = signal.getsignal(signal.SIGINT)
     try:
-        bench._init_worker(1, None, None)
+        bench._init_worker(str(tmp_path), 1, None, None)
         assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     finally:
         signal.signal(signal.SIGINT, handler)
+        if bench._SPOOL:
+            bench._SPOOL.close()
     assert bench._WORKER_CONTEXT == (1, None, None)
+    assert bench._SPOOL.name == str(tmp_path / str(os.getpid()))
+
+
+def test_a_pooled_chunk_sends_where_its_lines_are_not_the_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "_SPOOL", open(tmp_path / "spool", "xb"))
+    monkeypatch.setattr(bench, "_WORKER_CONTEXT", (11, None, None))
+    chunks = list(bench._chunks(plan_assignments(2, 11)))[:2]
+    with bench._SPOOL:
+        results = [bench._spool_chunk(chunk) for chunk in chunks]
+    for chunk, result in zip(chunks, results):
+        assert len(pickle.dumps(result)) < 1024
+        want = bench._emit_chunk(chunk, (11, None, None))
+        assert list(bench._read_spooled(*result)) == [lines.encode() for lines in want]
+    assert results[1][1] == sum(results[0][2])  # the second chunk appended after the first
+    assert len(results[0][2]) == bench._CHUNK
+
+
+@pytest.mark.parametrize("write_images", [False, True])
+def test_pooled_emit_leaves_only_its_outputs(tmp_path, write_images):
+    emit_corpus(per_task=1, master_seed=3, outdir=tmp_path, jobs=2, write_images=write_images)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["images", "manifest.jsonl"][not write_images:]
+
+
+def test_a_failing_worker_leaves_no_spool_and_the_old_manifest(tmp_path, monkeypatch):
+    emit_corpus(per_task=2, master_seed=3, outdir=tmp_path, jobs=2, write_images=False)
+    old = (tmp_path / "manifest.jsonl").read_bytes()
+
+    def make_meta_failing_at_osp(task, *args):
+        if task == "OSP":  # the metas of the second chunk of three
+            raise RuntimeError("stopped part-way")
+        return make_meta(task, *args)
+
+    monkeypatch.setattr(bench, "make_meta", make_meta_failing_at_osp)  # inherited by the forked workers
+    with pytest.raises(RuntimeError, match="stopped part-way"):
+        emit_corpus(per_task=2, master_seed=4, outdir=tmp_path, jobs=2, write_images=False)
+    assert (tmp_path / "manifest.jsonl").read_bytes() == old
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+def test_interrupting_a_pooled_emit_leaves_no_spool(tmp_path):
+    logged = []
+
+    def log_then_interrupt(line):
+        logged.append(line)
+        if len(logged) == 10:  # in the second chunk, with more still pending
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        emit_corpus(per_task=4, master_seed=3, outdir=tmp_path, jobs=2, write_images=False, log=log_then_interrupt)
+    assert list(tmp_path.iterdir()) == []

@@ -123,6 +123,17 @@ def test_out_on_an_existing_file_is_usage_error(tmp_path, vc_manifest, capsys, c
     assert afile.read_text(encoding="utf-8") == "in the way\n"
 
 
+def test_emit_with_a_file_named_images_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "images").write_text("in the way\n", encoding="utf-8")
+    assert main(["emit", "--seed", "1", "--per-task", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: cannot create output directory {out / 'images'}: File exists\n")
+    assert "Traceback" not in err
+    assert sorted(path.name for path in out.iterdir()) == ["images"]
+
+
 def test_graph_with_out_of_range_vertex_is_usage_error(tmp_path, capsys):
     graph = tmp_path / "g.json"
     graph.write_text('{"n": 3, "edges": [[0, 5]]}', encoding="utf-8")
