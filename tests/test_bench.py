@@ -450,7 +450,7 @@ def test_workers_leave_ctrl_c_to_the_parent(tmp_path, monkeypatch):
     assert bench._SPOOL.name == str(tmp_path / str(os.getpid()))
 
 
-def test_a_pooled_chunk_sends_where_its_lines_are_not_the_lines(tmp_path, monkeypatch):
+def test_a_pooled_chunk_returns_where_its_lines_are(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "_SPOOL", open(tmp_path / "spool", "xb"))
     monkeypatch.setattr(bench, "_WORKER_CONTEXT", (11, None, None))
     chunks = list(bench._chunks(plan_assignments(2, 11)))[:2]
