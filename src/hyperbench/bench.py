@@ -28,10 +28,11 @@ layouts, ISM pairs' included, are computed together in one
 ``visual_repr.layout_springs`` batch before its SVGs are drawn: a layout is
 100 steps of numpy calls over at most 20 points, so a batch pays each call's
 overhead once, and its positions are those of laying each graph out alone.
-With ``jobs`` > 1 the chunks go to the workers, at most ``_CHUNKS_PER_JOB``
-chunks a worker ahead of the parent, so that results do not queue up in the
-parent behind a slow meta; ``jobs`` = 1 runs the same chunks in order, so no
-output depends on ``jobs``.
+With ``jobs`` > 1 the pool's ordered ``map`` hands out every chunk at once
+and the workers run ahead of the parent without a bound: a chunk's result is
+only a location, so what waits behind a slow meta is bytes in the spool, not
+in the parent.  ``jobs`` = 1 runs the same chunks in order, so no output
+depends on ``jobs``.
 
 Only the SVGs need numpy.  ``VISUAL_FORMATS`` comes from ``core``, and
 ``visual_repr`` is imported inside ``render_meta_svg`` and ``_write_svgs``,
@@ -46,7 +47,6 @@ import json
 import os
 import random
 import signal
-from collections import deque
 from collections.abc import Callable
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
@@ -445,7 +445,6 @@ def _write_svgs(metas: list[MetaProblem], images_dir: Path) -> None:
 _WORKER_CONTEXT = None  # a worker process's (master_seed, pool, images_dir), set once by _init_worker
 _SPOOL = None  # a worker process's spool file, opened once by _init_worker
 _CHUNK = 8  # metas made, laid out and encoded together, and sent to a worker at once
-_CHUNKS_PER_JOB = 4  # chunks submitted and not yet consumed, per worker
 
 
 def _init_worker(spool_dir, *context) -> None:
@@ -460,7 +459,7 @@ def _chunks(assignments):
     return (assignments[start:start + _CHUNK] for start in range(0, len(assignments), _CHUNK))
 
 
-def _emit_chunk(assignments, context=None) -> list[str]:
+def _emit_chunk(assignments, context=None) -> list[bytes]:
     """Make a chunk of metas, write their SVGs unless ``images_dir`` is None,
     and return each meta's 35 manifest lines, encoded.  ``context`` is
     ``(master_seed, pool, images_dir)``; in a worker process it defaults to
@@ -469,14 +468,14 @@ def _emit_chunk(assignments, context=None) -> list[str]:
     metas = [make_meta(*assignment, master_seed, pool) for assignment in assignments]
     if images_dir is not None:
         _write_svgs(metas, images_dir)
-    return [sample_rows(meta) for meta in metas]
+    return [sample_rows(meta).encode() for meta in metas]
 
 
 def _spool_chunk(assignments) -> tuple[str, int, list[int]]:
     """``_emit_chunk`` in a worker process, its lines appended to the
     worker's spool and flushed; returns where they are: the spool's path,
     their offset in it and each meta's length in bytes."""
-    encoded = [lines.encode() for lines in _emit_chunk(assignments)]
+    encoded = _emit_chunk(assignments)
     offset = _SPOOL.tell()
     _SPOOL.writelines(encoded)
     _SPOOL.flush()
@@ -489,24 +488,6 @@ def _read_spooled(path: str, offset: int, lengths: list[int]):
         spool.seek(offset)
         for length in lengths:
             yield spool.read(length)
-
-
-def _emit_in_pool(ex, assignments, jobs: int):
-    """Each meta's manifest bytes in order, made by the process pool ``ex``
-    in chunks of ``_CHUNK`` metas with at most ``_CHUNKS_PER_JOB * jobs``
-    chunks pending, and read back from the workers' spools; the chunks still
-    pending are cancelled when the generator is closed or interrupted."""
-    pending = deque()
-    try:
-        for chunk in _chunks(assignments):
-            if len(pending) == _CHUNKS_PER_JOB * jobs:
-                yield from _read_spooled(*pending.popleft().result())
-            pending.append(ex.submit(_spool_chunk, chunk))
-        while pending:
-            yield from _read_spooled(*pending.popleft().result())
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 def emit_corpus(
@@ -526,6 +507,8 @@ def emit_corpus(
     """
     if per_task < 1:
         raise ValueError("per_task must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     images_dir = outdir / "images"
@@ -550,12 +533,13 @@ def emit_corpus(
                 ex = stack.enter_context(
                     ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(spool_dir, *context))
                 )
-                # closed before the pool shuts down, so that a failed or
-                # interrupted emit waits only for the chunks already running
-                emitted = stack.enter_context(closing(_emit_in_pool(ex, assignments, jobs)))
+                # closed before the pool shuts down, which cancels the chunks
+                # not yet started, so that a failed or interrupted emit waits
+                # only for the chunks already running
+                spooled = stack.enter_context(closing(ex.map(_spool_chunk, _chunks(assignments))))
+                emitted = chain.from_iterable(_read_spooled(*where) for where in spooled)
             else:
-                made = chain.from_iterable(map(_emit_chunk, _chunks(assignments), repeat(context)))
-                emitted = (lines.encode() for lines in made)
+                emitted = chain.from_iterable(map(_emit_chunk, _chunks(assignments), repeat(context)))
             mf = stack.enter_context(open(partial_path, "wb"))
             for (task, idx, scale, source), lines in zip(assignments, emitted):
                 if log:

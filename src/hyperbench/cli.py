@@ -110,10 +110,11 @@ def _cmd_generate(args) -> int:
     pool = _load_pool(args.pool, [args.scale] if args.source == "real" else [])
     for i in range(args.count):
         spec = gen.GenSpec("generic", args.scale, args.source, gen.derive_seed(args.seed, "cli-gen", i))
+        shown = {}
         if args.task == "generic":
             h = gen.gen_generic(spec, pool)
         else:  # the task's own constructor, or certified real subsample
-            h, h_b, _, value = _CLI_TASKS[args.task].build(spec, pool)
+            h, h_b, params, value = _CLI_TASKS[args.task].build(spec, pool)
             if h_b is not None:
                 pa = outdir / f"g-{i:04d}-a.json"
                 pb = outdir / f"g-{i:04d}-b.json"
@@ -121,9 +122,10 @@ def _cmd_generate(args) -> int:
                 save_json(h_b, pb)
                 print(json.dumps({"a": str(pa), "b": str(pb), "isomorphic": value}, sort_keys=True))
                 continue
+            shown = {**params, "certificate": value}  # as `verify` takes them: --s, --t and --cert
         path = outdir / f"g-{i:04d}.json"
         save_json(h, path)
-        print(json.dumps({"path": str(path), "n": h.n, "m": len(h.edges)}, sort_keys=True))
+        print(json.dumps({"path": str(path), "n": h.n, "m": len(h.edges), **shown}, sort_keys=True))
     return 0
 
 

@@ -6,7 +6,6 @@ import os
 import pickle
 import random
 import signal
-from concurrent.futures import Future
 
 import pytest
 
@@ -259,6 +258,10 @@ def test_emit_corpus_dry_run_skips_images(tmp_path):
 def test_emit_rejects_bad_args(tmp_path):
     with pytest.raises(ValueError):
         emit_corpus(per_task=0, master_seed=1, outdir=tmp_path)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            emit_corpus(per_task=1, master_seed=1, outdir=tmp_path, jobs=jobs, write_images=False)
+    assert not (tmp_path / "manifest.jsonl").exists()
 
 
 @pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
@@ -315,7 +318,8 @@ def _dict_rows(meta):
 @pytest.mark.parametrize("task", TASKS)
 def test_emit_meta_lines_are_json_dumps_of_the_rows(task, source):
     context = (11, None, None)
-    [lines] = bench._emit_chunk([(task, 0, "small", source)], context)
+    [encoded] = bench._emit_chunk([(task, 0, "small", source)], context)
+    lines = encoded.decode()
     meta = make_meta(task, 0, "small", source, 11)
     assert lines == sample_rows(meta)
     assert lines == "".join(json.dumps(row, sort_keys=True) + "\n" for row in _dict_rows(meta))
@@ -388,51 +392,26 @@ def test_emit_copies_an_image_where_a_link_fails(tmp_path, monkeypatch):
     assert all(path.stat().st_nlink == 1 for path in (copied / "images").glob("*.svg"))
 
 
-def _spooled(spool, lines) -> Future:
-    """A finished future holding what a pooled chunk returns for ``lines``,
-    one string per meta, appended to the file ``spool``."""
-    encoded = [line.encode() for line in lines]
-    with open(spool, "ab") as fh:
-        offset = fh.tell()
-        fh.writelines(encoded)
-    future = Future()
-    future.set_result((str(spool), offset, [len(line) for line in encoded]))
-    return future
+def test_closing_a_parallel_emit_cancels_the_pending_chunks(tmp_path, monkeypatch):
+    made = tmp_path / "made"  # one byte per meta made, in any process
 
+    def make_meta_counted(*args):
+        with open(made, "ab") as fh:
+            fh.write(b".")
+        return make_meta(*args)
 
-def test_parallel_emit_keeps_a_bounded_number_of_chunks_pending(tmp_path, monkeypatch):
-    submitted, consumed = [], []
+    monkeypatch.setattr(bench, "make_meta", make_meta_counted)  # inherited by the forked workers
+    logged = []
 
-    class Recorder:
-        """An executor that runs each chunk when it is submitted."""
+    def log_then_interrupt(line):
+        logged.append(line)
+        if len(logged) == 10:
+            raise KeyboardInterrupt
 
-        def submit(self, fn, chunk):
-            submitted.append(chunk)
-            return _spooled(tmp_path / "spool", [f"{task}-{idx}" for task, idx, *_ in chunk])
-
-    assignments = plan_assignments(10, 1)  # 120 metas, 15 chunks
-    for line in bench._emit_in_pool(Recorder(), assignments, jobs=2):
-        consumed.append(line.decode())
-        assert len(submitted) * bench._CHUNK - len(consumed) <= bench._CHUNKS_PER_JOB * 2 * bench._CHUNK
-    assert consumed == [f"{task}-{idx}" for task, idx, *_ in assignments]
-    assert [len(chunk) for chunk in submitted] == [bench._CHUNK] * 15
-
-
-def test_closing_a_parallel_emit_cancels_the_pending_chunks(tmp_path):
-    futures = []
-
-    class FirstChunkOnly:
-        """An executor that runs only the first chunk submitted."""
-
-        def submit(self, fn, chunk):
-            futures.append(_spooled(tmp_path / "spool", ["line"] * len(chunk)) if not futures else Future())
-            return futures[-1]
-
-    emitted = bench._emit_in_pool(FirstChunkOnly(), plan_assignments(10, 1), jobs=1)
-    assert next(emitted) == b"line"
-    assert len(futures) == bench._CHUNKS_PER_JOB
-    emitted.close()
-    assert all(future.cancelled() for future in futures[1:])
+    with pytest.raises(KeyboardInterrupt):
+        emit_corpus(per_task=100, master_seed=3, outdir=tmp_path / "out", jobs=2, write_images=False,
+                    log=log_then_interrupt)
+    assert made.stat().st_size < 300  # of 1,200 metas: the chunks not yet started were cancelled
 
 
 def test_workers_leave_ctrl_c_to_the_parent(tmp_path, monkeypatch):
@@ -458,8 +437,7 @@ def test_a_pooled_chunk_returns_where_its_lines_are(tmp_path, monkeypatch):
         results = [bench._spool_chunk(chunk) for chunk in chunks]
     for chunk, result in zip(chunks, results):
         assert len(pickle.dumps(result)) < 1024
-        want = bench._emit_chunk(chunk, (11, None, None))
-        assert list(bench._read_spooled(*result)) == [lines.encode() for lines in want]
+        assert list(bench._read_spooled(*result)) == bench._emit_chunk(chunk, (11, None, None))
     assert results[1][1] == sum(results[0][2])  # the second chunk appended after the first
     assert len(results[0][2]) == bench._CHUNK
 

@@ -58,6 +58,19 @@ def test_generate_ism(tmp_path, capsys):
     assert (out / "g-0000-b.json").is_file()
 
 
+@pytest.mark.parametrize("source", ["synthetic", "real"])
+@pytest.mark.parametrize("task", ["3cl", "shc", "hhm"])
+def test_generate_prints_a_certificate_that_verify_accepts(tmp_path, capsys, task, source):
+    out = tmp_path / "graphs"
+    assert main(["generate", "--seed", "5", "--count", "2", "--task", task, "--source", source, "--out", str(out)]) == 0
+    infos = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(infos) == 2
+    for info in infos:
+        ends = ["--s", str(info["s"]), "--t", str(info["t"])] if task == "hhm" else []
+        assert main(["verify", "--task", task, "--graph", info["path"], "--cert", info["certificate"], *ends]) == 0
+        assert capsys.readouterr().out == "VALID\n"
+
+
 def test_generate_takes_the_tables_choices():
     parser = build_parser()
     [commands] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
@@ -325,9 +338,10 @@ def test_emit_grade_prm_pipeline(tmp_path, capsys):
 
 
 def test_emit_verbose_logs_each_meta_in_order(tmp_path, capsys):
-    expected = [f"meta {task}-{idx:04d} ({scale}/{source})" for task, idx, scale, source in plan_assignments(1, 4)]
-    for jobs in ("1", "2"):
-        assert main(["emit", "--seed", "4", "--per-task", "1", "--jobs", jobs, "--verbose", "--dry-run",
+    for jobs, per_task in (("1", 1), ("2", 1), ("3", 2)):  # the last in 3 chunks, as many as workers
+        expected = [f"meta {task}-{idx:04d} ({scale}/{source})"
+                    for task, idx, scale, source in plan_assignments(per_task, 4)]
+        assert main(["emit", "--seed", "4", "--per-task", str(per_task), "--jobs", jobs, "--verbose", "--dry-run",
                      "--out", str(tmp_path / jobs)]) == 0
         assert capsys.readouterr().out.splitlines()[:-1] == expected
 

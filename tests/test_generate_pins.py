@@ -6,7 +6,8 @@ JSON files written, by name, and stdout with the output directory cut out,
 so that a change to any generator, subsampling walk or certificate search
 that alters one byte shows here.  At this seed the first small walk of each
 real run already carries a 3-CL, SHC and HHM certificate, so those three
-write the generic real graphs; ``generate`` prints no certificate.
+write the generic real graphs; ``generate`` prints each graph's certificate
+(and HHM's ``s`` and ``t``) beside its path, so their digests differ.
 """
 
 import hashlib
@@ -20,12 +21,12 @@ GENERATE_SHA256 = {
     ("generic", "real"): "ab6819a373fce9b529d8054aa8b2b5686828e30cd24f5b1fd98626968720168e",
     ("ism", "synthetic"): "a235fa4cb0b986ccc7e154992569aab4d273242b6149ff1471e7628dc8b846e5",
     ("ism", "real"): "b73fc12a656794b7e8c0c14006899e08f33a5e7d2c4e14441328a92a0bdafa58",
-    ("3cl", "synthetic"): "c990f663325a428a942dfeb7b2cc0cfdae7f759a930001561493c687dd4d0477",
-    ("3cl", "real"): "ab6819a373fce9b529d8054aa8b2b5686828e30cd24f5b1fd98626968720168e",
-    ("shc", "synthetic"): "abf0f858547cfbd43dbf56042901ac0da594d1f6767c5bc4f0ae5519ba52d086",
-    ("shc", "real"): "ab6819a373fce9b529d8054aa8b2b5686828e30cd24f5b1fd98626968720168e",
-    ("hhm", "synthetic"): "cb2528b0ed1dd94d55a1cd2d02a6a638f107d8214208df735437d776e3530a98",
-    ("hhm", "real"): "ab6819a373fce9b529d8054aa8b2b5686828e30cd24f5b1fd98626968720168e",
+    ("3cl", "synthetic"): "c1f40b8bd10829bfd16fa99276cd22fd6d565b0c9c1e7f08d03bd7c164f28758",
+    ("3cl", "real"): "6e49f2530cf211718b09140766bc081911887f628889cb05c567277f1ac25d4e",
+    ("shc", "synthetic"): "da48ae6ee5d2978f41ddd95ca1897f67715a9fa2e07a4c77344c9bd884a9037c",
+    ("shc", "real"): "8f905c9faa857f537f529dd14a1e99c375b953a4aa006fb52dcb2900341b569e",
+    ("hhm", "synthetic"): "789c2e1b154718964f52ce55ae3fe9d3361b76a30538e437289a9f330a350142",
+    ("hhm", "real"): "5fb2b497c840903bba1cf4ca91c77fdb9e5d225b2cc9a041dc1cdcf9ace5c59e",
 }
 
 
