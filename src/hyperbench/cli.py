@@ -9,11 +9,12 @@ bytes.  HYPERBENCH_OUT provides the default output directory.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import generate as gen
@@ -238,30 +239,35 @@ def _open_rows(stack: ExitStack, path: str, what: str):
         raise UsageError(f"{what} not found: {path}")
 
 
+@contextmanager
 def _grade_files(args):
     """The slim manifest rows and the grade records of the responses, both
-    files streamed; says on stderr how many manifest samples have no
-    response."""
+    files streamed, for the body of a ``with``; says on stderr how many
+    manifest samples have no response.  The index lives to the end of the
+    body, so it is frozen out of the cyclic GC's passes until then (and
+    unfrozen after, as ``main`` may run in-process)."""
     options = GradeOptions(lenient=not args.strict, marker=args.marker)
     with ExitStack() as stack:
         manifest = _open_rows(stack, args.manifest, "manifest")
         responses = _open_rows(stack, args.responses, "responses")
         try:
             index = index_manifest(manifest)
+            gc.freeze()
+            stack.callback(gc.unfreeze)
             records = grade_responses(index, responses, options)
         except ValueError as exc:
             raise UsageError(str(exc))
-    unanswered = len(index) - len(records)
-    if unanswered:
-        print(f"{unanswered} manifest samples have no response", file=sys.stderr)
-    return index.values(), records
+        unanswered = len(index) - len(records)
+        if unanswered:
+            print(f"{unanswered} manifest samples have no response", file=sys.stderr)
+        yield index.values(), records
 
 
 def _cmd_grade(args) -> int:
-    manifest, records = _grade_files(args)
-    outdir = _out_dir(args.out)
-    write_grades(records, outdir / "grades.jsonl")
-    table = aggregate(records, manifest)
+    with _grade_files(args) as (manifest, records):
+        outdir = _out_dir(args.out)
+        write_grades(records, outdir / "grades.jsonl")
+        table = aggregate(records, manifest)
     (outdir / "accuracy.csv").write_text(table.to_csv(), encoding="utf-8")
     correct = sum(1 for r in records if r.correct)
     print(
@@ -279,14 +285,15 @@ def _cmd_grade(args) -> int:
 
 
 def _cmd_prm(args) -> int:
-    manifest, records = _grade_files(args)
-    pairs, skipped = build_prm(records, manifest)
-    if skipped:
-        named = ", ".join(skipped[:_NAMED_METAS]) + (", ..." if len(skipped) > _NAMED_METAS else "")
-        print(f"{len(skipped)} metas lack graded responses for some combos and were skipped: {named}", file=sys.stderr)
-    outdir = _out_dir(args.out)
-    path = outdir / "prm.jsonl"
-    write_prm(pairs, path)
+    with _grade_files(args) as (manifest, records):
+        pairs, skipped = build_prm(records, manifest)
+        if skipped:
+            named = ", ".join(skipped[:_NAMED_METAS]) + (", ..." if len(skipped) > _NAMED_METAS else "")
+            print(f"{len(skipped)} metas lack graded responses for some combos and were skipped: {named}",
+                  file=sys.stderr)
+        outdir = _out_dir(args.out)
+        path = outdir / "prm.jsonl"
+        write_prm(pairs, path)
     print(json.dumps({"pairs": len(pairs), "path": str(path)}, sort_keys=True))
     return 0
 

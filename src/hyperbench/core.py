@@ -191,7 +191,11 @@ def dumps(h: Hypergraph) -> str:
 
 
 def loads(text: str) -> Hypergraph:
-    return from_json_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError as exc:  # nested deeper than json can decode
+        raise ValueError(exc) from None
+    return from_json_dict(obj)
 
 
 def save_json(h: Hypergraph, path) -> None:
@@ -205,17 +209,70 @@ def load_json(path) -> Hypergraph:
         return loads(fh.read())
 
 
+_raw_decode = json.JSONDecoder().raw_decode  # the decoder json.loads uses, from a start index
+_scan_key = json.decoder.scanstring  # a JSON string's value and end, from after its opening quote
+
+
+def _loads(text: str):
+    """``json.loads(text)`` for a text without surrounding whitespace, minus
+    that function's per-call checks; it raises what json.loads raises."""
+    obj, end = _raw_decode(text)
+    return obj if end == len(text) else json.loads(text)  # json's "Extra data" error
+
+
+def _leading_member(line: str):
+    """``(text, key, value)`` for a line that opens with ``{"key": `` and an
+    object or array followed by ``, "``: ``text`` is the line up to and
+    including that quote, ``value`` the decoded object or array.  None for
+    any other line."""
+    if not line.startswith('{"'):
+        return None
+    try:
+        key, end = _scan_key(line, 2)
+        if line[end:end + 2] != ": ":
+            return None
+        value, end = _raw_decode(line, end + 2)
+    except (ValueError, RecursionError):
+        return None
+    if type(value) not in (dict, list) or line[end:end + 3] != ', "':
+        return None
+    return line[:end + 3], key, value
+
+
 def iter_jsonl(fh):
-    """The records of an open JSONL file, one at a time; ValueError naming the
-    first malformed line by the file's name and line number."""
+    """The records of an open JSONL file, one at a time, each equal, in keys
+    and key order, to ``json.loads`` of its line; ValueError naming the first
+    malformed line by the file's name and line number.
+
+    Consecutive lines often open with the same member (the 35 rows of a meta
+    lead with its answer spec), so the text of the last leading object or
+    array member is kept with its decoded value.  A line that opens with that
+    text decodes only the rest, and its record shares the value, so records
+    are to be read, not changed.  A key the rest repeats keeps its first place
+    and takes its last value, as in ``json.loads``.  A line whose rest does
+    not decode is decoded whole, for json's own error."""
+    lead, key, value = " ", None, None  # no stripped line starts with a space
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        # a line not led by the kept text, but by a key and "{" or "[", may set a new lead
+        if not line.startswith(lead) and line.startswith(("{", "["), line.find('": ') + 3):
+            lead, key, value = _leading_member(line) or (lead, key, value)
+        rest = None
+        if line.startswith(lead):
             try:
-                record = json.loads(line)
-            except ValueError as exc:
+                rest = _loads("{" + line[len(lead) - 1:])
+            except (ValueError, RecursionError):
+                pass
+        if rest is not None:
+            record = {key: value, **rest}
+        else:
+            try:
+                record = _loads(line)
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{fh.name}:{lineno}: malformed JSON line: {exc}") from None
-            yield record
+        yield record
 
 
 def read_jsonl(path) -> list[dict]:
@@ -225,14 +282,6 @@ def read_jsonl(path) -> list[dict]:
 
 
 json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
-
-
-def write_jsonl(path, records) -> None:
-    """One JSON object per line, keys sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
 
 
 def parse_hmetis(text: str) -> Hypergraph:

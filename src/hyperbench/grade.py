@@ -12,11 +12,12 @@ one.
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from dataclasses import dataclass
 
 from .bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS, task_spec
-from .core import VISUAL_FORMATS, from_json_dict, json_str, write_jsonl
+from .core import VISUAL_FORMATS, from_json_dict, json_str
 from .text_repr import TEXT_FORMATS
 from .verify import format_coloring, format_cycle, format_path, verify_3cl, verify_hhm, verify_shc
 
@@ -70,8 +71,21 @@ def _payload(raw_text: str, options: GradeOptions):
 _UNPARSED = object()
 
 
+# the parsers' patterns; a certificate's keyword pattern is keyed by the keyword
+_INT_RE = re.compile(r"-?\d+")
+_NO_PATH_RE = re.compile(r"no\s+path", re.IGNORECASE)
+_NO_NEIGHBORS_RE = re.compile(r"no\s+(?:(?:n-?|-)\s*)?neighbors", re.IGNORECASE)
+_BRACES_RE = re.compile(r"\{([^{}]*)\}")
+_VERTEX_IDS_RE = re.compile(r"v\s*(\d+)")
+_DIGITS_RE = re.compile(r"\d+")
+_YES_NO_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
+_KEYWORD_RE = {kw: re.compile(rf"{kw}\s*(?::\s*)?\[", re.IGNORECASE) for kw in ("coloring", "cycle", "path")}
+_COLOR_PAIRS_RE = re.compile(r"v\s*(\d+)\s*[:=]\s*(?:c\s*)?([012])\b", re.IGNORECASE)
+_EDGE_IDS_RE = re.compile(r"e\s*(\d+)", re.IGNORECASE)
+
+
 def _parse_count(payload: str, flags: list[str]):
-    m = re.search(r"-?\d+", payload)
+    m = _INT_RE.search(payload)
     if not m:
         return _UNPARSED
     if payload.strip() != m.group(0):
@@ -80,23 +94,23 @@ def _parse_count(payload: str, flags: list[str]):
 
 
 def _parse_path_weight(payload: str, flags: list[str]):
-    if re.search(r"no\s+path", payload, re.IGNORECASE):
+    if _NO_PATH_RE.search(payload):
         return None
     return _parse_count(payload, flags)
 
 
 def _parse_vertex_set(payload: str, flags: list[str]):
-    if re.search(r"no\s+(?:(?:n-?|-)\s*)?neighbors", payload, re.IGNORECASE):
+    if _NO_NEIGHBORS_RE.search(payload):
         return []
-    brace = re.search(r"\{([^{}]*)\}", payload)
+    brace = _BRACES_RE.search(payload)
     if brace and not brace.group(1).strip():
         return []
     region = brace.group(1) if brace else payload
     if not brace:
         flags.append("no_braces")
-    ids = re.findall(r"v\s*(\d+)", region)
+    ids = _VERTEX_IDS_RE.findall(region)
     if not ids:
-        ids = re.findall(r"\d+", region)
+        ids = _DIGITS_RE.findall(region)
         if ids:
             flags.append("bare_ids")
     if not ids:
@@ -105,7 +119,7 @@ def _parse_vertex_set(payload: str, flags: list[str]):
 
 
 def _parse_yes_no(payload: str, flags: list[str]):
-    m = re.search(r"\b(yes|no)\b", payload, re.IGNORECASE)
+    m = _YES_NO_RE.search(payload)
     if not m:
         return _UNPARSED
     stripped = payload.strip().strip("[].").strip().lower()
@@ -119,7 +133,7 @@ def _cert_region(payload: str, keyword: str, flags: list[str]) -> str:
     ``[``) and the ``]`` after it.  If no ``]`` follows the first bracket,
     none follows a later one, so each bracket is searched for once and the
     work stays linear in the reply's length."""
-    m = re.search(rf"{keyword}\s*(?::\s*)?\[", payload, re.IGNORECASE)
+    m = _KEYWORD_RE[keyword].search(payload)
     if m:
         end = payload.find("]", m.end())
         if end >= 0:
@@ -136,7 +150,7 @@ def _cert_region(payload: str, keyword: str, flags: list[str]) -> str:
 
 def _parse_coloring(payload: str, flags: list[str]):
     region = _cert_region(payload, "coloring", flags)
-    pairs = re.findall(r"v\s*(\d+)\s*[:=]\s*(?:c\s*)?([012])\b", region, re.IGNORECASE)
+    pairs = _COLOR_PAIRS_RE.findall(region)
     if not pairs:
         return _UNPARSED
     value: dict[int, int] = {}
@@ -150,9 +164,9 @@ def _parse_coloring(payload: str, flags: list[str]):
 
 def _parse_edge_sequence(payload: str, keyword: str, flags: list[str]):
     region = _cert_region(payload, keyword, flags)
-    ids = re.findall(r"e\s*(\d+)", region, re.IGNORECASE)
+    ids = _EDGE_IDS_RE.findall(region)
     if not ids:
-        ids = re.findall(r"\d+", region)
+        ids = _DIGITS_RE.findall(region)
         if ids:
             flags.append("bare_ids")
     if not ids:
@@ -548,24 +562,43 @@ def corrupted_answer_text(row: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+# a grades.jsonl line: a record's fields in sorted key order, as
+# json.dumps(fields, sort_keys=True) writes them
+_GRADE_LINE = '{"correct": %s, "flags": %s, "parsed_kind": %s, "parsed_value": %s, "sample_id": %s}\n'
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
+def _value_json(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, a dict's int keys written as
+    strings (JSON's keys), with the common values (None, bools, ints, lists
+    of ints) written directly."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is list and all(type(v) is int for v in value):
+        return "[" + ", ".join(map(int.__repr__, value)) + "]"
+    if isinstance(value, dict):  # a coloring: its keys sort as strings
+        value = {str(k): v for k, v in value.items()}
+    return _encode_sorted(value)
+
+
 def write_grades(records, path) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "sample_id": rec.sample_id,
-                "correct": rec.correct,
-                "flags": list(rec.flags),
-                "parsed_kind": rec.parsed.kind,
-                "parsed_value": _jsonable(rec.parsed.value),
-            }
-            for rec in records
-        ),
-    )
+    """One line per record, keys sorted.  Records share a few flag tuples,
+    so each is encoded once."""
+    flags_json: dict[tuple, str] = {}
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            flags = flags_json.get(rec.flags)
+            if flags is None:
+                flags = flags_json[rec.flags] = _encode_sorted(list(rec.flags))
+            fh.write(_GRADE_LINE % (_value_json(rec.correct), flags, json_str(rec.parsed.kind),
+                                    _value_json(rec.parsed.value), json_str(rec.sample_id)))
 
 
-# a prm.jsonl line: the fields of a pair in sorted key order, as write_jsonl
-# writes them
+# a prm.jsonl line: the fields of a pair in sorted key order
 _PRM_LINE = '{"input_text": %s, "label_combo": %s, "meta_id": %s}\n'
 
 
@@ -580,8 +613,3 @@ def write_prm(pairs, path) -> None:
                 prompt = json_str(text)
             fh.write(_PRM_LINE % (prompt, json_str(pair.label_combo), json_str(pair.meta_id)))
 
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): v for k, v in value.items()}
-    return value

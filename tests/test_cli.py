@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import signal
@@ -212,6 +213,38 @@ def test_bad_pool_file_is_usage_error(tmp_path, capsys, cmd, name, text, message
     assert len(err.splitlines()) == 1
 
 
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # nested deeper than json can decode
+
+
+@pytest.mark.parametrize("where", ["manifest", "responses", "solve-graph", "emit-pool"])
+def test_json_nested_deeper_than_the_recursion_limit_is_a_usage_error(tmp_path, vc_manifest, capsys, where):
+    manifest, rows = vc_manifest
+    if where in ("manifest", "responses"):
+        if where == "manifest":
+            manifest.write_text(manifest.read_text(encoding="utf-8") + DEEP_JSON + "\n", encoding="utf-8")
+            bad, lineno = manifest, len(rows) + 1
+        else:
+            bad, lineno = tmp_path / "resp.jsonl", 2
+        lines = [json.dumps({"sample_id": rows[0]["sample_id"], "response": "Ans: 1"}), DEEP_JSON]
+        code, _ = _grade(tmp_path, manifest, lines)
+        prefix = f"error: {bad}:{lineno}: malformed JSON line: "
+    else:
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"n": 3, "edges": ' + DEEP_JSON + "}", encoding="utf-8")
+        if where == "solve-graph":
+            code = main(["solve", "--task", "vc", "--graph", str(bad)])
+            prefix = f"error: bad graph file {bad}: "
+        else:
+            code = main(["emit", "--seed", "1", "--per-task", "1", "--dry-run", "--pool", str(bad),
+                         "--out", str(tmp_path / "out")])
+            prefix = f"error: bad pool file {bad}: "
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and "recursion" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 SMALL_POOL = "3 8\n1 2 3\n3 4 5 6\n6 7 8\n"  # 8 vertices
 
 
@@ -380,6 +413,17 @@ def _grade(tmp_path, manifest, lines, cmd="grade"):
     responses.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     out = tmp_path / cmd
     return main([cmd, "--manifest", str(manifest), "--responses", str(responses), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+@pytest.mark.parametrize("known", [True, False], ids=["graded", "unknown-id"])
+def test_grading_in_process_leaves_nothing_frozen(tmp_path, vc_manifest, capsys, cmd, known):
+    # the index is frozen out of the cyclic GC while a command runs, and only then
+    manifest, rows = vc_manifest
+    sid = rows[0]["sample_id"] if known else "nope"
+    code, _ = _grade(tmp_path, manifest, [json.dumps({"sample_id": sid, "response": "Ans: 1"})], cmd)
+    assert code == (0 if known else 2)
+    assert gc.get_freeze_count() == 0
 
 
 def test_grade_accepts_response_and_raw_text_keys(tmp_path, vc_manifest, capsys):

@@ -1,3 +1,5 @@
+import io
+import json
 import pickle
 import random
 
@@ -5,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbench import Hypergraph, load_json, save_json
-from hyperbench.core import dumps, from_json_dict, loads, parse_hmetis, to_json_dict
+from hyperbench import Hypergraph, emit_corpus, load_json, read_jsonl, save_json
+from hyperbench.core import dumps, from_json_dict, iter_jsonl, loads, parse_hmetis, to_json_dict
 
 
 def test_construction_normalizes_members():
@@ -181,3 +183,97 @@ def test_parse_hmetis_rejects_weighted_fmt():
     with pytest.raises(ValueError, match="fmt"):
         parse_hmetis("2 3 1\n2 1 3\n1 2 3\n")
     assert parse_hmetis("1 3 0\n1 2 3\n").edges == ((0, 1, 2),)
+
+
+# -- the JSONL reader against json.loads of each line ----------------------
+
+
+class _Named(io.StringIO):
+    name = "s.jsonl"
+
+
+def _read_each_line(text: str):
+    """What the reader must give: the records ``json.loads`` makes of the
+    lines up to the first malformed one, and that line's error message."""
+    records = []
+    for lineno, line in enumerate(_Named(text), 1):
+        line = line.strip()
+        if line:
+            try:
+                records.append(json.loads(line))
+            except (ValueError, RecursionError) as exc:
+                return records, f"s.jsonl:{lineno}: malformed JSON line: {exc}"
+    return records, None
+
+
+def _read_stream(text: str):
+    records = []
+    try:
+        records.extend(iter_jsonl(_Named(text)))
+    except ValueError as exc:
+        return records, str(exc)
+    return records, None
+
+
+_KEYS = st.sampled_from(["a", "b", "answer_spec", "k\u00e9y", 'q"k', ""])
+_STRINGS = st.sampled_from(["x", '", "', 'a, "b": 1', "}, {", "\u2229", "\\"])
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), _STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=6,
+)
+# lines the reader's shortcut must leave to json.loads, or that json.loads rejects
+_ODD_LINES = st.sampled_from([
+    "", "   ", '{"a": {}, }', '{"a": [1],"b": 2}', '{"a": [1], "a": 2}', '{"a" : [1], "b": 2}',
+    '{"a": [1], "b": 2} x', '{"a": [1], "b": }', '{"a": [1], "', '{"a": [1], ', '{"a": [1]}', "[1, 2]", '"s"',
+    "{}", "null", '{"a": [1], "b": 2, }',
+])
+
+
+@st.composite
+def _jsonl_streams(draw):
+    """Lines that often open with the same key and value as the line before,
+    written with varied separators, around the odd lines above."""
+    leads = draw(st.lists(st.tuples(_KEYS, _VALUES), min_size=1, max_size=3))
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(_ODD_LINES))
+            continue
+        members = [draw(st.sampled_from(leads)), *draw(st.lists(st.tuples(_KEYS, _VALUES), max_size=3))]
+        ascii_only = draw(st.booleans())
+        parts = []
+        for key, value in members:
+            colon = draw(st.sampled_from([": ", ":", " : "]))
+            compact = draw(st.booleans())
+            text = json.dumps(value, ensure_ascii=ascii_only, separators=(",", ":") if compact else None)
+            parts.append(json.dumps(key, ensure_ascii=ascii_only) + colon + text)
+        line = parts[0]
+        for part in parts[1:]:
+            line += draw(st.sampled_from([", ", ",", ",  ", " , "])) + part
+        line = "{" + line + "}"
+        if draw(st.integers(0, 5)) == 0:  # cut short: malformed, perhaps inside the shared lead
+            line = line[:draw(st.integers(0, len(line) - 1))]
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jsonl_streams())
+def test_iter_jsonl_equals_json_loads_of_each_line(text):
+    got, want = _read_stream(text), _read_each_line(text)
+    # repr shows every dict's key order; the messages name the same line and error
+    assert repr(got) == repr(want)
+
+
+def test_read_jsonl_of_a_manifest_equals_json_loads_of_each_line(tmp_path):
+    # the corpus tests/test_pinned.py pins
+    emit_corpus(per_task=2, master_seed=1234, outdir=tmp_path, write_images=False)
+    path = tmp_path / "manifest.jsonl"
+    rows = read_jsonl(path)
+    want = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == len(want)
+    for row, expected in zip(rows, want):  # row by row: a failure's diff stays small
+        assert repr(row) == repr(expected)
+    # the shortcut ran: each meta's 35 rows share one decoded answer spec
+    assert len({id(row["answer_spec"]) for row in rows}) == len({row["meta_id"] for row in rows}) == len(rows) // 35

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperbench import aggregate, build_prm, emit_corpus, grade, grade_responses, make_meta, read_jsonl
-from hyperbench.bench import ALL_COMBOS, TASKS
-from hyperbench.core import from_json_dict, to_json_dict, write_jsonl
+from hyperbench import generate
+from hyperbench.bench import ALL_COMBOS, TASKS, task_spec
+from hyperbench.core import from_json_dict, to_json_dict
 from hyperbench.grade import (
     GradeOptions,
     GradeRecord,
@@ -26,6 +27,15 @@ from hyperbench.text_repr import TEXT_FORMATS
 from conftest import manifest_rows
 
 STRICT = GradeOptions(lenient=False)
+
+
+def write_jsonl(path, records) -> None:
+    """One ``json.dumps(record, sort_keys=True)`` per line: the layout the
+    grade writers' templates reproduce."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True))
+            fh.write("\n")
 
 
 # -- parsing ---------------------------------------------------------------
@@ -317,6 +327,88 @@ def test_judge_hhm(hstar):
     assert not judge(row, parse_answer("HHM", "Ans: Path:[e0, e1, e2]"))[0]
 
 
+# -- judge fuzz: planted and real certificates, valid and corrupted ---------
+
+
+def _coloring_holds(h, value: dict) -> bool:
+    return set(value) == set(range(h.n)) and all(len({value[v] for v in e}) >= 2 for e in h.edges)
+
+
+def _cycle_holds(h, ids: list) -> bool:
+    pairs = zip(ids, ids[1:] + ids[:1])
+    return len(ids) >= 2 and len(set(ids)) == len(ids) and all(len(set(h.edges[a]) & set(h.edges[b])) == 1 for a, b in pairs)
+
+
+def _path_holds(h, ids: list, s: int, t: int) -> bool:
+    """Breadth-first over (vertex, visited set) states, step by step: an
+    order s..t through every vertex, step i inside hyperedge ids[i]."""
+    if len(ids) != h.n - 1:
+        return False
+    states = {(s, 1 << s)}
+    for j in ids:
+        members = h.edges[j]
+        states = {(w, mask | 1 << w) for v, mask in states if v in members for w in members if not mask >> w & 1}
+    return (t, (1 << h.n) - 1) in states
+
+
+def _edit_sequence(ids: list, edits, m: int) -> list:
+    """``ids`` after each ``(op, i, x)`` edit; ids reach past the last edge."""
+    ids = list(ids)
+    for op, i, x in edits:
+        if op == "insert":
+            ids.insert(i % (len(ids) + 1), x % (m + 2))
+        elif ids and op == "set":
+            ids[i % len(ids)] = x % (m + 2)
+        elif ids and op == "delete":
+            del ids[i % len(ids)]
+        elif ids and op == "swap":
+            a, b = i % len(ids), x % len(ids)
+            ids[a], ids[b] = ids[b], ids[a]
+    return ids
+
+
+_JUDGE_BOUND_S = 1.0  # per judge call; corpus-size certificates check in milliseconds
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["3-CL", "SHC", "HHM"]),
+    st.sampled_from(["small", "medium", "large"]),
+    st.sampled_from(["synthetic", "real"]),
+    st.integers(0, 2**32),
+    st.lists(st.tuples(st.sampled_from(["set", "insert", "delete", "swap"]), st.integers(0, 40),
+                       st.integers(0, 40)), max_size=3),
+)
+def test_judge_agrees_with_the_certificate_definitions(task, scale, source, seed, edits):
+    h, _, params, text = task_spec(task).build(generate.GenSpec(task, scale, source, seed), None)
+    kind = task_spec(task).kind
+    cert = parse_answer(task, "Ans: " + text).value
+    if kind == "coloring":  # recolor or add vertices, then drop the "delete" ones
+        value = dict(cert)
+        for op, i, x in edits:
+            if op == "delete":
+                value.pop(i % (h.n + 2), None)
+            else:
+                value[i % (h.n + 2)] = x % 3
+        reply = "Coloring:[" + ", ".join(f"v{v}:c{c}" for v, c in value.items()) + "]"
+        in_range = True
+        holds = _coloring_holds(h, value)
+    else:
+        value = _edit_sequence(cert, edits, len(h.edges))
+        reply = ("Cycle:[" if kind == "cycle" else "Path:[") + ", ".join(f"e{j}" for j in value) + "]"
+        in_range = all(j < len(h.edges) for j in value)
+        holds = in_range and (_cycle_holds(h, value) if kind == "cycle" else _path_holds(h, value, **params))
+    row = _row(task, kind, text, graph=h, params=params)
+    parsed = parse_answer(task, "Ans: " + reply)
+    start = time.perf_counter()
+    ok, flags = judge(row, parsed)
+    assert time.perf_counter() - start < _JUDGE_BOUND_S
+    assert ok == holds
+    assert ("invalid_ids" in flags) == (not in_range and not parsed.failed)
+    if not edits:
+        assert ok  # the stored certificate
+
+
 def test_grade_responses_rejects_unknown_ids():
     rows = [_row("VC", "count", 3)]
     with pytest.raises(ValueError):
@@ -483,6 +575,72 @@ def test_write_prm_matches_write_jsonl(tmp_path):
     records = [{"meta_id": p.meta_id, "input_text": p.input_text, "label_combo": p.label_combo} for p in pairs]
     write_jsonl(tmp_path / "expected.jsonl", records)
     assert (tmp_path / "prm.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+def _grade_fields(rec: GradeRecord) -> dict:
+    value = rec.parsed.value
+    return {
+        "sample_id": rec.sample_id,
+        "correct": rec.correct,
+        "flags": list(rec.flags),
+        "parsed_kind": rec.parsed.kind,
+        "parsed_value": {str(k): v for k, v in value.items()} if isinstance(value, dict) else value,
+    }
+
+
+# a parsed value of each kind: counts (negative too), weights or failures
+# (None), vertex sets, yes/no, colorings (vertices 2 and 10 sort apart as
+# strings) and cycles or paths
+_PARSED = [
+    ParsedAnswer("count", 17),
+    ParsedAnswer("count", -3, ("prose",)),
+    ParsedAnswer("flow", 0),
+    ParsedAnswer("path_weight", None),
+    ParsedAnswer("vertex_set", []),
+    ParsedAnswer("vertex_set", [0, 4, 12], ("no_braces", "bare_ids")),
+    ParsedAnswer("yes_no", True),
+    ParsedAnswer("yes_no", False, ("prose",)),
+    ParsedAnswer("coloring", {2: 1, 10: 0, 0: 2}, ("duplicate_assignment",)),
+    ParsedAnswer("coloring", {}),
+    ParsedAnswer("cycle", [3, 1, 3]),
+    ParsedAnswer("path", [], ("missing_keyword", "no_brackets")),
+    ParsedAnswer("failure", None, ("parse_failure", "no_marker")),
+]
+
+
+def test_write_grades_matches_write_jsonl(tmp_path):
+    records = [
+        GradeRecord(f"S-{i:04d}__\u2229 \"x\"", parsed, i % 2 == 0, parsed.flags + ("kind_mismatch",) * (i % 3 > 0))
+        for i, parsed in enumerate(_PARSED * 2)
+    ]
+    write_grades(records, tmp_path / "grades.jsonl")
+    write_jsonl(tmp_path / "expected.jsonl", map(_grade_fields, records))
+    assert (tmp_path / "grades.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+_FLAGS = st.sampled_from(["prose", "no_marker", "bare_ids", "shc_k2", "invalid_ids", "kind_mismatch"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.text(max_size=12),
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-10**20, 10**20),
+        st.lists(st.integers(-5, 10**6), max_size=6),
+        st.dictionaries(st.integers(0, 30), st.integers(0, 2), max_size=8),
+    ),
+    st.booleans(),
+    st.lists(_FLAGS, max_size=3).map(tuple),
+), max_size=8))
+def test_write_grades_matches_write_jsonl_on_any_parsed_value(tmp_path_factory, cases):
+    records = [GradeRecord(sid, ParsedAnswer("count", value, flags), correct, flags)
+               for sid, value, correct, flags in cases]
+    out = tmp_path_factory.mktemp("grades")
+    write_grades(records, out / "grades.jsonl")
+    write_jsonl(out / "expected.jsonl", map(_grade_fields, records))
+    assert (out / "grades.jsonl").read_bytes() == (out / "expected.jsonl").read_bytes()
 
 
 # -- canonical / corrupted -------------------------------------------------
