@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperbench import aggregate, build_prm, emit_corpus, grade, grade_responses, make_meta, read_jsonl
-from hyperbench import generate
+from hyperbench import aggregate, build_prm, emit_corpus, generate, grade, grade_responses, make_meta, read_jsonl
 from hyperbench.bench import ALL_COMBOS, TASKS, task_spec
 from hyperbench.core import from_json_dict, to_json_dict
 from hyperbench.grade import (
@@ -383,7 +382,7 @@ def test_judge_agrees_with_the_certificate_definitions(task, scale, source, seed
     h, _, params, text = task_spec(task).build(generate.GenSpec(task, scale, source, seed), None)
     kind = task_spec(task).kind
     cert = parse_answer(task, "Ans: " + text).value
-    if kind == "coloring":  # recolor or add vertices, then drop the "delete" ones
+    if kind == "coloring":  # each edit drops, adds or recolors a vertex, perhaps one past the last
         value = dict(cert)
         for op, i, x in edits:
             if op == "delete":
