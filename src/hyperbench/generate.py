@@ -15,9 +15,9 @@ for a real subsample: a coloring, a cycle, or ``(steps, s, t)``.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
+from _blake2 import blake2b
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -36,8 +36,14 @@ class GenerationError(RuntimeError):
 
 
 def derive_seed(master: int, *labels) -> int:
-    """Stable 64-bit sub-seed from a master seed and a label path."""
-    digest = hashlib.blake2b(digest_size=8)
+    """Stable 64-bit sub-seed from a master seed and a label path.
+
+    ``blake2b`` comes from ``_blake2``, the interpreter's built-in module,
+    which is the very object ``hashlib.blake2b`` is (hashlib never hands
+    blake2 to OpenSSL).  Importing it directly keeps ``hashlib`` from loading
+    ``_hashlib`` and mapping OpenSSL's libcrypto into every process.
+    """
+    digest = blake2b(digest_size=8)
     digest.update(str(master).encode())
     for label in labels:
         raw = str(label).encode()

@@ -259,29 +259,34 @@ _AXES = tuple(
 )
 
 
-def _check_certificate_row(where: str, spec: dict, task: str) -> None:
+def _where(number: int, sid) -> str:
+    """How an error names manifest row ``number``; built only for an error."""
+    return f"manifest row {number}" + (f" ({sid})" if isinstance(sid, str) else "")
+
+
+def _check_certificate_row(number: int, sid: str, spec: dict, task: str) -> None:
     """ValueError unless a certificate row's graph has an int ``n`` >= 1 and its
     params hold the task's parameters as distinct vertex ids."""
     graph, params = spec["graph"], spec["params"]
     n = graph.get("n") if isinstance(graph, dict) else None
     if type(n) is not int or n < 1:
-        raise ValueError(f"{where} has no answer_spec.graph object with an int n >= 1")
+        raise ValueError(f"{_where(number, sid)} has no answer_spec.graph object with an int n >= 1")
     if not isinstance(params, dict):
-        raise ValueError(f"{where} has an answer_spec.params that is not an object")
+        raise ValueError(f"{_where(number, sid)} has an answer_spec.params that is not an object")
     names = task_spec(task).params
     for name in names:
         if type(params.get(name)) is not int or not 0 <= params[name] < n:
-            raise ValueError(f"{where} has answer_spec.params.{name} {params.get(name)!r}, not a vertex id in 0..{n - 1}")
+            raise ValueError(f"{_where(number, sid)} has answer_spec.params.{name} {params.get(name)!r}, not a vertex id in 0..{n - 1}")
     if names == ("s", "t") and params["s"] == params["t"]:
-        raise ValueError(f"{where} has equal answer_spec.params s and t")
+        raise ValueError(f"{_where(number, sid)} has equal answer_spec.params s and t")
 
 
-def _certificate_graph(where: str, spec: dict):
-    """The hypergraph of a certificate row's spec; ValueError naming ``where`` if it does not build."""
+def _certificate_graph(number: int, sid: str, spec: dict):
+    """The hypergraph of a certificate row's spec; ValueError naming the row if it does not build."""
     try:
         return from_json_dict(spec["graph"])
     except (TypeError, ValueError, IndexError) as exc:
-        raise ValueError(f"{where} has an answer_spec.graph that does not build: {exc}") from None
+        raise ValueError(f"{_where(number, sid)} has an answer_spec.graph that does not build: {exc}") from None
 
 
 def _shared(kept: list, value):
@@ -314,7 +319,6 @@ def index_manifest(manifest_rows) -> dict[str, dict]:
     for n, row in enumerate(manifest_rows, 1):
         row = row if isinstance(row, dict) else {}
         sid = row.get("sample_id")
-        where = f"manifest row {n}" + (f" ({sid})" if isinstance(sid, str) else "")
         spec = row["answer_spec"] if isinstance(row.get("answer_spec"), dict) else {}
         certificate = spec.get("kind") in CERTIFICATE_KINDS
         missing = [k for k in _ROW_KEYS if k not in row]
@@ -322,23 +326,23 @@ def index_manifest(manifest_rows) -> dict[str, dict]:
             reads = ("graph", "params") if certificate else ("value",)
             missing += [f"answer_spec.{k}" for k in ("kind", *reads) if k not in spec]
         if missing:
-            raise ValueError(f"{where} lacks {', '.join(missing)}")
+            raise ValueError(f"{_where(n, sid)} lacks {', '.join(missing)}")
         if not isinstance(sid, str):
-            raise ValueError(f"{where} has no string sample_id")
+            raise ValueError(f"{_where(n, sid)} has no string sample_id")
         slim = {"sample_id": sid, "meta_id": row["meta_id"]}
         for key, names in _AXES:
             # keep the axis's own name string, not the row's equal copy, so that rows share it
             name = names.get(row[key]) if isinstance(row[key], str) else None
             if name is None:
-                raise ValueError(f"{where} has unknown {key} {row[key]!r}")
+                raise ValueError(f"{_where(n, sid)} has unknown {key} {row[key]!r}")
             slim[key] = name
         kind = task_spec(row["task"]).kind
         if spec["kind"] != kind:
-            raise ValueError(f"{where} has answer_spec.kind {spec['kind']!r}, but {row['task']} answers {kind!r}")
+            raise ValueError(f"{_where(n, sid)} has answer_spec.kind {spec['kind']!r}, but {row['task']} answers {kind!r}")
         if certificate:
-            _check_certificate_row(where, spec, row["task"])
+            _check_certificate_row(n, sid, spec, row["task"])
         if sid in by_id:
-            raise ValueError(f"{where} repeats the sample id of an earlier row")
+            raise ValueError(f"{_where(n, sid)} repeats the sample id of an earlier row")
         answers, prompts = [], []
         if isinstance(row["meta_id"], str):
             # the rows of a meta share its id string and each distinct answer and prompt
@@ -347,7 +351,7 @@ def index_manifest(manifest_rows) -> dict[str, dict]:
         if answer is None:  # a spec first kept: a certificate's graph is built now, for every row sharing it
             answer = {"answer_spec": spec}
             if certificate:
-                answer["graph"] = _certificate_graph(where, spec)
+                answer["graph"] = _certificate_graph(n, sid, spec)
             answers.append(answer)
         slim.update(answer)
         if slim["text_format"] == "HO-Neigh":
@@ -393,26 +397,32 @@ def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OP
     return records
 
 
-def _graded_rows(records, manifest_rows) -> list[tuple[dict, list[int]]]:
-    """(row, hits) for each manifest row with records, in manifest order, with
-    one hit (1 or 0) per record of the row's sample id; ValueError on a
-    record whose sample id the manifest lacks, or on a repeated manifest id."""
-    hits: dict[str, list[int]] = {}
+def _graded_rows(records, manifest_rows):
+    """(row, correct, total) for each manifest row with records, in manifest
+    order: how many of the records of the row's sample id are correct, of how
+    many.  ValueError on a repeated manifest id as it is read, and then on a
+    record whose sample id the manifest lacks."""
+    totals: dict[str, int] = {}
+    corrects: dict[str, int] = {}
     for rec in records:
-        hits.setdefault(rec.sample_id, []).append(1 if rec.correct else 0)
-    graded = []
+        sid = rec.sample_id
+        totals[sid] = totals.get(sid, 0) + 1
+        if rec.correct:
+            corrects[sid] = corrects.get(sid, 0) + 1
+    joined = 0
     seen: dict[str, None] = {}  # as a set, but a fifth of the memory at corpus scale
     for row in manifest_rows:
         sid = row["sample_id"]
         if sid in seen:
             raise ValueError(f"manifest sample id {sid} appears more than once")
         seen[sid] = None
-        if sid in hits:
-            graded.append((row, hits[sid]))
-    if len(graded) < len(hits):
+        total = totals.get(sid)
+        if total is not None:
+            joined += 1
+            yield row, corrects.get(sid, 0), total
+    if joined < len(totals):
         unknown = [rec.sample_id for rec in records if rec.sample_id not in seen]
         raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
-    return graded
 
 
 @dataclass
@@ -445,11 +455,13 @@ def aggregate(records, manifest_rows) -> AccuracyTable:
     Each axis marginalizes over the other (a text format's cell averages all
     its graded samples across the five visual formats, and vice versa).
     """
-    tally: dict[tuple[str, str], list[int]] = {(section, key): [] for section, keys in _AXES for key in keys}
-    for row, hits in _graded_rows(records, manifest_rows):
+    tally = {(section, key): [0, 0] for section, keys in _AXES for key in keys}  # cell -> [correct, total]
+    for row, correct, total in _graded_rows(records, manifest_rows):
         for section, _ in _AXES:
-            tally[section, row[section]].extend(hits)
-    cells = {cell: (sum(h) / len(h) if h else None, len(h)) for cell, h in tally.items()}
+            counts = tally[section, row[section]]
+            counts[0] += correct
+            counts[1] += total
+    cells = {cell: (correct / total if total else None, total) for cell, (correct, total) in tally.items()}
 
     def mean(tasks):
         present = [cells["task", t][0] for t in tasks if cells["task", t][0] is not None]
@@ -458,7 +470,7 @@ def aggregate(records, manifest_rows) -> AccuracyTable:
     return AccuracyTable(cells, mean(UNDERSTANDING_TASKS), mean(REASONING_TASKS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PRMPair:
     """One routing-label row: this meta is best served by this combo."""
 
@@ -479,23 +491,29 @@ def build_prm(records, manifest_rows) -> tuple[list[PRMPair], list[str]]:
     graded records for some of the 35 combos.  The router input is the
     HO-Neigh prompt (rendering + question).
     """
-    combo_hits: dict[str, dict[tuple[str, str], list[int]]] = {}
+    slots = {combo: 2 * i for i, combo in enumerate(ALL_COMBOS)}  # where a combo's correct count is; total next
+    tallies: dict[str, list[int]] = {}  # meta id -> correct, total of each combo in ALL_COMBOS order
     prompts: dict[str, str] = {}
-    for row, hits in _graded_rows(records, manifest_rows):
+    for row, correct, total in _graded_rows(records, manifest_rows):
         meta_id = row["meta_id"]
-        combo = (row["text_format"], row["visual_format"])
-        combo_hits.setdefault(meta_id, {}).setdefault(combo, []).extend(hits)
+        counts = tallies.get(meta_id)
+        if counts is None:
+            counts = tallies[meta_id] = [0] * (2 * len(ALL_COMBOS))
+        slot = slots[row["text_format"], row["visual_format"]]
+        counts[slot] += correct
+        counts[slot + 1] += total
         if row["text_format"] == "HO-Neigh":
             prompts.setdefault(meta_id, row["prompt"])
     pairs: list[PRMPair] = []
     skipped: list[str] = []
-    for meta_id, by_combo in combo_hits.items():
-        if any(combo not in by_combo for combo in ALL_COMBOS):
+    for meta_id, counts in tallies.items():
+        totals = counts[1::2]
+        if 0 in totals:
             skipped.append(meta_id)
             continue
-        means = {combo: sum(h) / len(h) for combo, h in by_combo.items()}
-        best = max(means.values())
-        winners = [combo for combo in ALL_COMBOS if means[combo] == best]
+        means = [correct / total for correct, total in zip(counts[::2], totals)]
+        best = max(means)
+        winners = [combo for combo, mean in zip(ALL_COMBOS, means) if mean == best]
         degenerate = len(winners) == len(ALL_COMBOS)
         for text_fmt, visual_fmt in winners:
             pairs.append(PRMPair(meta_id, text_fmt, visual_fmt, prompts[meta_id], degenerate))

@@ -65,7 +65,9 @@ def verify_hhm(h: Hypergraph, seq, s: int, t: int) -> bool:
     with step i contained in the i-th hyperedge of ``seq``.
 
     The sequence must have exactly n-1 steps; repeating a hyperedge across
-    steps is allowed.  Failed (vertex, visited set) states are memoized (the
+    steps is allowed.  Three necessary checks come first: the first step's
+    edge holds s, the last step's holds t, and the steps' edges together
+    cover every vertex.  Failed (vertex, visited set) states are memoized (the
     step index is the set's size), so the search visits at most n * 2^n
     states whatever the sequence.
     """
@@ -75,6 +77,11 @@ def verify_hhm(h: Hypergraph, seq, s: int, t: int) -> bool:
         h.check_edge(j)
     if len(ids) != h.n - 1:
         return False
+    edges = h.edges
+    if s not in edges[ids[0]] or t not in edges[ids[-1]]:
+        return False
+    if len(set().union(*(edges[j] for j in set(ids)))) < h.n:
+        return False
     full = (1 << h.n) - 1
     failed: set[tuple[int, int]] = set()  # (vertex, visited mask) states that cannot finish
 
@@ -83,7 +90,7 @@ def verify_hhm(h: Hypergraph, seq, s: int, t: int) -> bool:
             return cur == t
         if (cur, mask) in failed:
             return False
-        members = h.edges[ids[mask.bit_count() - 1]]
+        members = edges[ids[mask.bit_count() - 1]]
         if cur in members:
             for nxt in members:
                 bit = 1 << nxt

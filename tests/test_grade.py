@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperbench import aggregate, build_prm, emit_corpus, generate, grade, grade_responses, make_meta, read_jsonl
-from hyperbench.bench import ALL_COMBOS, TASKS, task_spec
-from hyperbench.core import from_json_dict, to_json_dict
+from hyperbench.bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS, task_spec
+from hyperbench.core import VISUAL_FORMATS, from_json_dict, to_json_dict
 from hyperbench.grade import (
+    AccuracyTable,
     GradeOptions,
     GradeRecord,
     ParsedAnswer,
@@ -542,6 +543,143 @@ def test_build_prm_skips_partial_coverage():
     assert skipped == ["VC-0001"]
 
 
+# the per-sample-list aggregation that the per-cell tallies replaced, kept as
+# the reference they must agree with, errors and their order included
+
+
+def _reference_graded_rows(records, manifest_rows):
+    hits = {}
+    for rec in records:
+        hits.setdefault(rec.sample_id, []).append(1 if rec.correct else 0)
+    graded = []
+    seen = {}
+    for row in manifest_rows:
+        sid = row["sample_id"]
+        if sid in seen:
+            raise ValueError(f"manifest sample id {sid} appears more than once")
+        seen[sid] = None
+        if sid in hits:
+            graded.append((row, hits[sid]))
+    if len(graded) < len(hits):
+        unknown = [rec.sample_id for rec in records if rec.sample_id not in seen]
+        raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
+    return graded
+
+
+def _reference_aggregate(records, manifest_rows):
+    axes = (("task", TASKS), ("text_format", TEXT_FORMATS), ("visual_format", VISUAL_FORMATS))
+    tally = {(section, key): [] for section, keys in axes for key in keys}
+    for row, hits in _reference_graded_rows(records, manifest_rows):
+        for section, _ in axes:
+            tally[section, row[section]].extend(hits)
+    cells = {cell: (sum(h) / len(h) if h else None, len(h)) for cell, h in tally.items()}
+
+    def mean(tasks):
+        present = [cells["task", t][0] for t in tasks if cells["task", t][0] is not None]
+        return sum(present) / len(present) if present else None
+
+    return AccuracyTable(cells, mean(UNDERSTANDING_TASKS), mean(REASONING_TASKS))
+
+
+def _reference_build_prm(records, manifest_rows):
+    combo_hits = {}
+    prompts = {}
+    for row, hits in _reference_graded_rows(records, manifest_rows):
+        meta_id = row["meta_id"]
+        combo = (row["text_format"], row["visual_format"])
+        combo_hits.setdefault(meta_id, {}).setdefault(combo, []).extend(hits)
+        if row["text_format"] == "HO-Neigh":
+            prompts.setdefault(meta_id, row["prompt"])
+    pairs = []
+    skipped = []
+    for meta_id, by_combo in combo_hits.items():
+        if any(combo not in by_combo for combo in ALL_COMBOS):
+            skipped.append(meta_id)
+            continue
+        means = {combo: sum(h) / len(h) for combo, h in by_combo.items()}
+        best = max(means.values())
+        winners = [combo for combo in ALL_COMBOS if means[combo] == best]
+        degenerate = len(winners) == len(ALL_COMBOS)
+        for text_fmt, visual_fmt in winners:
+            pairs.append(PRMPair(meta_id, text_fmt, visual_fmt, prompts[meta_id], degenerate))
+    return pairs, skipped
+
+
+def _outcome(build, records, rows):
+    """What ``build`` returns, or the type and message of what it raises."""
+    try:
+        return build(records, rows)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_tallies_match_reference(records, rows):
+    assert _outcome(aggregate, records, rows) == _outcome(_reference_aggregate, records, rows)
+    assert _outcome(build_prm, records, rows) == _outcome(_reference_build_prm, records, rows)
+
+
+def _varied_rows(meta_id, task):
+    """A meta's 35 rows, each HO-Neigh prompt naming its visual format too, so
+    that which one the PRM keeps shows."""
+    return [{**row, "task": task, "prompt": f"{row['prompt']},{row['visual_format']}"}
+            for row in _combo_rows(meta_id)]
+
+
+@st.composite
+def _graded_manifests(draw):
+    """Rows of one to three metas and records for them: each row has zero to
+    three records, right or wrong, in a shuffled order; optionally records for
+    ids the manifest lacks and a repeated manifest row."""
+    rows = []
+    for i, task in enumerate(draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=3))):
+        rows += _varied_rows(f"{task}-{i:04d}", task)
+    # verdicts all right (every full meta a degenerate tie), mostly right
+    # (ties among the best combos) or a coin toss
+    verdicts = draw(st.sampled_from([st.just(True), st.sampled_from([True, True, True, False]), st.booleans()]))
+    records = []
+    for row in rows:
+        for _ in range(draw(st.integers(0, 3)) if draw(st.integers(0, 9)) == 0 else 1):
+            records.append(GradeRecord(row["sample_id"], ParsedAnswer("count", 3), draw(verdicts), ()))
+    records += [GradeRecord(f"ghost-{j}", ParsedAnswer("count", 3), True, ())
+                for j in range(draw(st.integers(0, 12)) if draw(st.integers(0, 4)) == 0 else 0)]
+    records = draw(st.permutations(records))
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(1, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
+    return records, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graded_manifests())
+def test_aggregate_and_prm_match_the_per_sample_reference(case):
+    records, rows = case
+    _assert_tallies_match_reference(records, rows)
+
+
+def test_aggregate_and_prm_match_the_reference_on_fixed_cases():
+    rows = _varied_rows("VC-0000", "VC") + _varied_rows("OSP-0001", "OSP")
+    every = {combo: 0.5 for combo in ALL_COMBOS}
+    repeated = _records_with_accuracy(rows, every, repeats=2)  # each sample id twice, one right
+    cases = {
+        "repeated ids": repeated,
+        "degenerate tie": _records_with_accuracy(rows, {combo: 1.0 for combo in ALL_COMBOS}, repeats=2),
+        "partial coverage": repeated[:-4],
+        "tie of two": _records_with_accuracy(rows, {**every, ("N-Set", "Cli-Exp"): 1.0, ("LO-Inc", "Enc-Hy"): 1.0}),
+        "unknown ids": [GradeRecord("nope", ParsedAnswer("count", 3), True, ()), *repeated, repeated[0]],
+    }
+    for records in cases.values():
+        _assert_tallies_match_reference(records, rows)
+    pairs, skipped = build_prm(cases["degenerate tie"], rows)
+    assert len(pairs) == 70 and all(p.degenerate_tie for p in pairs) and not skipped
+    assert build_prm(cases["partial coverage"], rows)[1] == ["OSP-0001"]
+    unknown_and_repeated = rows + [rows[3]]
+    for build in (aggregate, build_prm):
+        # a repeated manifest id is named before the unknown record ids
+        with pytest.raises(ValueError, match=f"^manifest sample id {rows[3]['sample_id']} appears more than once$"):
+            build(cases["unknown ids"], unknown_and_repeated)
+        with pytest.raises(ValueError, match=re.escape("records reference unknown sample ids: ['nope']")):
+            build(cases["unknown ids"], rows)
+
+
 def test_write_prm(tmp_path):
     rows = _combo_rows("VC-0000")
     acc = {combo: 0.5 for combo in ALL_COMBOS}
@@ -721,3 +859,15 @@ def test_index_keeps_slim_rows_sharing_one_spec_per_meta():
     assert all(r["answer_spec"] == rows[0]["answer_spec"] for r in slim)
     assert {r["text_format"] for r in slim if "prompt" in r} == {"HO-Neigh"}
     assert set(slim[0]) == {"sample_id", "meta_id", "task", "text_format", "visual_format", "answer_spec"}
+
+
+def test_index_names_the_row_of_an_unusable_certificate():
+    rows = manifest_rows(make_meta("HHM", 0, "small", "synthetic", 3))[:3]
+    spec = rows[2]["answer_spec"]
+    sid = rows[2]["sample_id"]
+    bad_params = {**spec, "params": {**spec["params"], "t": spec["params"]["s"]}}
+    bad_graph = {**spec, "graph": {**spec["graph"], "edges": 5}}
+    for broken, message in ((bad_params, "has equal answer_spec.params s and t"),
+                            (bad_graph, "has an answer_spec.graph that does not build: ")):
+        with pytest.raises(ValueError, match=f"^manifest row 3 \\({sid}\\) {message}"):
+            grade.index_manifest([*rows[:2], {**rows[2], "answer_spec": broken}])

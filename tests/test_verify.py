@@ -262,6 +262,20 @@ def test_verify_hhm_bounded_on_sliding_windows():
     assert time.perf_counter() - start < 1.0
 
 
+def test_verify_hhm_rejects_an_unreachable_end_without_searching():
+    # the big edge's every order would be tried before the last step, whose
+    # edge lacks t, failed; the necessary checks reject it at once
+    h = Hypergraph(20, [range(20), (0, 1)])
+    start = time.perf_counter()
+    assert not verify_hhm(h, [0] * 18 + [1], 0, 19)
+    assert time.perf_counter() - start < 0.1
+    assert not verify_hhm(h, [1] + [0] * 18, 19, 0)  # the first step's edge lacks s
+    assert verify_hhm(h, [0] * 19, 0, 19)
+    gap = Hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert not verify_hhm(gap, [0, 0, 3], 0, 3)  # no step's edge holds v2
+    assert verify_hhm(gap, [0, 1, 2], 0, 3)
+
+
 def _plain_find_3cl(h):
     """find_3cl without the memo of failed states: ascending backtracking,
     each edge checked once its highest vertex is colored."""
