@@ -23,13 +23,13 @@ from .core import VISUAL_FORMATS, Hypergraph, iter_jsonl, load_json, save_json
 from .grade import (
     CERTIFICATE_KINDS,
     GradeOptions,
-    aggregate,
-    build_prm,
+    Grading,
     check_certificate,
-    grade_responses,
+    grade_line_encoder,
     index_manifest,
     parse_answer,
-    write_grades,
+    tally_accuracy,
+    tally_prm,
     write_prm,
 )
 from .solve import oracle_ism, oracle_omf, oracle_osp, solve_ism, solve_omf, solve_osp
@@ -240,9 +240,10 @@ def _open_rows(stack: ExitStack, path: str, what: str):
 
 
 @contextmanager
-def _grade_files(args):
-    """The slim manifest rows and the grade records of the responses, both
-    files streamed, for the body of a ``with``; says on stderr how many
+def _grading(args, each=None):
+    """A grading run of the responses against the manifest, both files
+    streamed, for the body of a ``with``: each response is judged as it is
+    read, and its record passed to ``each``.  Says on stderr how many
     manifest samples have no response.  The index lives to the end of the
     body, so it is frozen out of the cyclic GC's passes until then (and
     unfrozen after, as ``main`` may run in-process)."""
@@ -254,27 +255,31 @@ def _grade_files(args):
             index = index_manifest(manifest)
             gc.freeze()
             stack.callback(gc.unfreeze)
-            records = grade_responses(index, responses, options)
+            run = Grading(index, options)
+            for record in run.grade(responses):
+                if each is not None:
+                    each(record)
         except ValueError as exc:
             raise UsageError(str(exc))
-        unanswered = len(index) - len(records)
+        unanswered = len(index) - run.graded
         if unanswered:
             print(f"{unanswered} manifest samples have no response", file=sys.stderr)
-        yield index.values(), records
+        yield run
 
 
 def _cmd_grade(args) -> int:
-    with _grade_files(args) as (manifest, records):
-        outdir = _out_dir(args.out)
-        write_grades(records, outdir / "grades.jsonl")
-        table = aggregate(records, manifest)
+    grades = bytearray()  # grades.jsonl, written only once every response is judged
+    line = grade_line_encoder()
+    with _grading(args, lambda record: grades.extend(line(record).encode())) as run:
+        table = tally_accuracy(run.graded_rows())
+    outdir = _out_dir(args.out)
+    (outdir / "grades.jsonl").write_bytes(grades)
     (outdir / "accuracy.csv").write_text(table.to_csv(), encoding="utf-8")
-    correct = sum(1 for r in records if r.correct)
     print(
         json.dumps(
             {
-                "graded": len(records),
-                "correct": correct,
+                "graded": run.graded,
+                "correct": run.correct,
                 "grades": str(outdir / "grades.jsonl"),
                 "accuracy": str(outdir / "accuracy.csv"),
             },
@@ -285,15 +290,15 @@ def _cmd_grade(args) -> int:
 
 
 def _cmd_prm(args) -> int:
-    with _grade_files(args) as (manifest, records):
-        pairs, skipped = build_prm(records, manifest)
-        if skipped:
-            named = ", ".join(skipped[:_NAMED_METAS]) + (", ..." if len(skipped) > _NAMED_METAS else "")
-            print(f"{len(skipped)} metas lack graded responses for some combos and were skipped: {named}",
-                  file=sys.stderr)
-        outdir = _out_dir(args.out)
-        path = outdir / "prm.jsonl"
-        write_prm(pairs, path)
+    with _grading(args) as run:
+        pairs, skipped = tally_prm(run.graded_rows())
+    if skipped:
+        named = ", ".join(skipped[:_NAMED_METAS]) + (", ..." if len(skipped) > _NAMED_METAS else "")
+        print(f"{len(skipped)} metas lack graded responses for some combos and were skipped: {named}",
+              file=sys.stderr)
+    outdir = _out_dir(args.out)
+    path = outdir / "prm.jsonl"
+    write_prm(pairs, path)
     print(json.dumps({"pairs": len(pairs), "path": str(path)}, sort_keys=True))
     return 0
 
@@ -479,6 +484,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130  # 128 + SIGINT, as a shell reports it
+    except MemoryError as exc:  # an input too large for this machine, such as a layout's all-pairs matrix
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -179,10 +179,32 @@ def to_json_dict(h: Hypergraph) -> dict:
     return {"n": h.n, "edges": [list(e) for e in h.edges]}
 
 
+def _shown(value) -> str:
+    """A decoded JSON value as an error message shows it: a scalar as JSON,
+    an array or an object by its kind."""
+    if isinstance(value, (list, dict)):
+        return "an array" if isinstance(value, list) else "an object"
+    return json.dumps(value)
+
+
 def from_json_dict(obj: dict) -> Hypergraph:
+    """The hypergraph of a decoded ``{"n", "edges"}`` object; ValueError
+    naming the field if ``n`` or a vertex id is not an integer (JSON's
+    floats and booleans are not) or ``edges`` is not a list of lists."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("hypergraph JSON needs keys 'n' and 'edges'")
-    return Hypergraph(obj["n"], obj["edges"])
+    n, edges = obj["n"], obj["edges"]
+    if type(n) is not int:
+        raise ValueError(f"hypergraph JSON 'n' must be an integer, got {_shown(n)}")
+    if not isinstance(edges, list):
+        raise ValueError(f"hypergraph JSON 'edges' must be an array, got {_shown(edges)}")
+    for j, edge in enumerate(edges):
+        if not isinstance(edge, list):
+            raise ValueError(f"hypergraph JSON edge e{j} must be an array of vertex ids, got {_shown(edge)}")
+        for v in edge:
+            if type(v) is not int:
+                raise ValueError(f"hypergraph JSON edge e{j} has a vertex id that is not an integer: {_shown(v)}")
+    return Hypergraph(n, edges)
 
 
 def dumps(h: Hypergraph) -> str:

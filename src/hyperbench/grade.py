@@ -226,11 +226,11 @@ def check_certificate(kind: str, h, value, params: dict) -> tuple[bool, tuple[st
 
 
 def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
-    """Decide correctness of a parsed answer against a manifest row.
+    """Decide correctness of a parsed answer against a manifest row or an
+    index's answer record (see :func:`index_manifest`).
 
-    A certificate is checked against the row's ``graph``, which
-    :func:`index_manifest` builds; a full manifest row has none, and its
-    graph is built from its answer_spec.
+    A certificate is checked against the record's ``graph``; a manifest row
+    has none, and its graph is built from its answer_spec.
     """
     spec = row["answer_spec"]
     kind = spec["kind"]
@@ -285,7 +285,7 @@ def _certificate_graph(number: int, sid: str, spec: dict):
     """The hypergraph of a certificate row's spec; ValueError naming the row if it does not build."""
     try:
         return from_json_dict(spec["graph"])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         raise ValueError(f"{_where(number, sid)} has an answer_spec.graph that does not build: {exc}") from None
 
 
@@ -299,23 +299,30 @@ def _shared(kept: list, value):
     return value
 
 
-def index_manifest(manifest_rows) -> dict[str, dict]:
-    """Check and index manifest rows, which may be streamed: a slim copy of
-    each row by sample id, in manifest order.  Each row is checked as it is
-    read, and only a slim copy of it is kept, with the keys of ``_ROW_KEYS``
-    but the prompt, which only HO-Neigh rows keep (they are the router input
-    :func:`build_prm` reads).  Rows of one meta with equal answer specs share
-    one spec object, and equal prompts one string.  A certificate row also
-    keeps its ``graph``, built when its spec is first kept and shared with
-    the rows that share the spec.
+def index_manifest(manifest_rows) -> dict[str, tuple]:
+    """Check and index manifest rows, which may be streamed: by sample id, in
+    manifest order, a tuple ``(answer, text_format, visual_format, prompt,
+    rank)`` for each row.  Each row is checked as it is read, and only its
+    tuple is kept:
+
+    - ``answer``, its answer record: a dict of the row's ``meta_id``,
+      ``task`` and ``answer_spec``, and for a certificate the ``graph`` built
+      from the spec, which :func:`judge` takes.  The rows of a meta with
+      equal tasks and specs share one record (and one meta id string), so a
+      meta's certificate graph is built once;
+    - its text and visual format names, the format tables' own strings;
+    - its prompt if it is an HO-Neigh row (the router input :func:`build_prm`
+      reads), a meta's equal prompts sharing one string, and None otherwise;
+    - its rank among the rows sharing its answer record, which
+      :class:`Grading` keeps the row's verdict under.
 
     ValueError names the first row that lacks a key grading reads, names an
     unknown task or format, holds an answer kind other than its task's or a
     certificate graph or params grading cannot use, or repeats an earlier
     row's sample id.
     """
-    by_id: dict[str, dict] = {}
-    metas: dict[str, tuple] = {}  # meta id -> (it, the distinct answers and prompts of its rows)
+    by_id: dict[str, tuple] = {}
+    metas: dict[str, tuple] = {}  # meta id -> ([answer record, rows sharing it] of each, distinct prompts)
     for n, row in enumerate(manifest_rows, 1):
         row = row if isinstance(row, dict) else {}
         sid = row.get("sample_id")
@@ -329,35 +336,102 @@ def index_manifest(manifest_rows) -> dict[str, dict]:
             raise ValueError(f"{_where(n, sid)} lacks {', '.join(missing)}")
         if not isinstance(sid, str):
             raise ValueError(f"{_where(n, sid)} has no string sample_id")
-        slim = {"sample_id": sid, "meta_id": row["meta_id"]}
-        for key, names in _AXES:
+        names = []
+        for key, axis in _AXES:
             # keep the axis's own name string, not the row's equal copy, so that rows share it
-            name = names.get(row[key]) if isinstance(row[key], str) else None
+            name = axis.get(row[key]) if isinstance(row[key], str) else None
             if name is None:
                 raise ValueError(f"{_where(n, sid)} has unknown {key} {row[key]!r}")
-            slim[key] = name
-        kind = task_spec(row["task"]).kind
+            names.append(name)
+        task, text_format, visual_format = names
+        kind = task_spec(task).kind
         if spec["kind"] != kind:
-            raise ValueError(f"{_where(n, sid)} has answer_spec.kind {spec['kind']!r}, but {row['task']} answers {kind!r}")
+            raise ValueError(f"{_where(n, sid)} has answer_spec.kind {spec['kind']!r}, but {task} answers {kind!r}")
         if certificate:
-            _check_certificate_row(n, sid, spec, row["task"])
+            _check_certificate_row(n, sid, spec, task)
         if sid in by_id:
             raise ValueError(f"{_where(n, sid)} repeats the sample id of an earlier row")
-        answers, prompts = [], []
-        if isinstance(row["meta_id"], str):
-            # the rows of a meta share its id string and each distinct answer and prompt
-            slim["meta_id"], answers, prompts = metas.setdefault(row["meta_id"], (row["meta_id"], [], []))
-        answer = next((a for a in answers if a["answer_spec"] == spec), None)
-        if answer is None:  # a spec first kept: a certificate's graph is built now, for every row sharing it
-            answer = {"answer_spec": spec}
+        meta_id = row["meta_id"]
+        answers, prompts = metas.setdefault(meta_id, ([], [])) if isinstance(meta_id, str) else ([], [])
+        shared = next((a for a in answers if a[0]["task"] is task and a[0]["answer_spec"] == spec), None)
+        if shared is None:  # a record first kept: a certificate's graph is built now, for every row sharing it
+            answer = {"meta_id": meta_id, "task": task, "answer_spec": spec}
             if certificate:
                 answer["graph"] = _certificate_graph(n, sid, spec)
-            answers.append(answer)
-        slim.update(answer)
-        if slim["text_format"] == "HO-Neigh":
-            slim["prompt"] = _shared(prompts, row["prompt"])
-        by_id[sid] = slim
+            shared = [answer, 0]
+            answers.append(shared)
+        prompt = _shared(prompts, row["prompt"]) if text_format == "HO-Neigh" else None
+        by_id[sid] = (shared[0], text_format, visual_format, prompt, shared[1])
+        shared[1] += 1
     return by_id
+
+
+class Grading:
+    """One grading run against a manifest index (see :func:`index_manifest`).
+
+    :meth:`grade` judges each response as it is read.  The run keeps no
+    per-sample state: a response's verdict is two bits in the masks of its
+    row's answer record, one that the row is graded and one that it was
+    right, at the row's rank.  :meth:`graded_rows` reads them back in
+    manifest order for :func:`tally_accuracy` and :func:`tally_prm`.
+    """
+
+    def __init__(self, index: dict, options: GradeOptions = DEFAULT_OPTIONS):
+        self.index = index
+        self.options = options
+        self.graded = 0  # responses judged
+        self.correct = 0  # of them, the right ones
+        self._masks: dict[int, list[int]] = {}  # id of an answer record -> [graded, right] bit masks of its rows
+
+    def grade(self, responses):
+        """The :class:`GradeRecord` of each ``{"sample_id", "response"}``
+        response, judged as it is read; the responses may be streamed.
+
+        The text may be under ``raw_text`` instead of ``response``.  A
+        response without either, a repeated sample id or an unknown one is a
+        ValueError, the unknown ids once the responses have ended.
+        """
+        unknown: dict[str, None] = {}  # as a set, in the order first seen
+        for n, resp in enumerate(responses, 1):
+            sid = resp.get("sample_id") if isinstance(resp, dict) else None
+            if not isinstance(sid, str):
+                raise ValueError(f"response {n} has no string sample_id")
+            text = resp["response"] if "response" in resp else resp.get("raw_text")
+            if not isinstance(text, str):
+                raise ValueError(f"response {n} ({sid}) has neither a 'response' nor a 'raw_text' string")
+            row = self.index.get(sid)
+            if row is None:
+                if sid in unknown:
+                    raise ValueError(f"sample id {sid} has more than one response (response {n})")
+                unknown[sid] = None
+                continue
+            answer, bit = row[0], 1 << row[4]
+            masks = self._masks.get(id(answer))
+            if masks is None:
+                masks = self._masks[id(answer)] = [0, 0]
+            if masks[0] & bit:
+                raise ValueError(f"sample id {sid} has more than one response (response {n})")
+            masks[0] |= bit
+            if unknown:  # once an id is unknown the run fails; grade no further
+                continue
+            parsed = parse_answer(answer["task"], text, self.options)
+            correct, flags = judge(answer, parsed)
+            self.graded += 1
+            if correct:
+                masks[1] |= bit
+                self.correct += 1
+            yield GradeRecord(sid, parsed, correct, flags)
+        if unknown:
+            raise ValueError(f"responses reference unknown sample ids: {list(unknown)[:10]}")
+
+    def graded_rows(self):
+        """``(row, correct, 1)`` for each graded row of the index, in manifest
+        order, ``correct`` being 1 or 0."""
+        masks_of = self._masks.get
+        for row in self.index.values():
+            masks = masks_of(id(row[0]))
+            if masks is not None and masks[0] >> row[4] & 1:
+                yield row, masks[1] >> row[4] & 1, 1
 
 
 def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OPTIONS) -> list[GradeRecord]:
@@ -369,39 +443,16 @@ def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OP
     without either, a repeated sample id or an unknown one is a ValueError,
     as is a manifest row that :func:`index_manifest` rejects.
     """
-    by_id = manifest_rows if isinstance(manifest_rows, dict) else index_manifest(manifest_rows)
-    records = []
-    seen: dict[str, None] = {}  # as a set, but a fifth of the memory at corpus scale
-    unknown: list[str] = []
-    for n, resp in enumerate(responses, 1):
-        sid = resp.get("sample_id") if isinstance(resp, dict) else None
-        if not isinstance(sid, str):
-            raise ValueError(f"response {n} has no string sample_id")
-        text = resp["response"] if "response" in resp else resp.get("raw_text")
-        if not isinstance(text, str):
-            raise ValueError(f"response {n} ({sid}) has neither a 'response' nor a 'raw_text' string")
-        if sid in seen:
-            raise ValueError(f"sample id {sid} has more than one response (response {n})")
-        row = by_id.get(sid)
-        if row is not None:
-            sid = row["sample_id"]  # the index's copy, so that the response's is not kept
-        seen[sid] = None
-        if row is None:
-            unknown.append(sid)
-        elif not unknown:  # once an id is unknown the run fails; grade no further
-            parsed = parse_answer(row["task"], text, options)
-            correct, flags = judge(row, parsed)
-            records.append(GradeRecord(sid, parsed, correct, flags))
-    if unknown:
-        raise ValueError(f"responses reference unknown sample ids: {unknown[:10]}")
-    return records
+    index = manifest_rows if isinstance(manifest_rows, dict) else index_manifest(manifest_rows)
+    return list(Grading(index, options).grade(responses))
 
 
 def _graded_rows(records, manifest_rows):
     """(row, correct, total) for each manifest row with records, in manifest
-    order: how many of the records of the row's sample id are correct, of how
-    many.  ValueError on a repeated manifest id as it is read, and then on a
-    record whose sample id the manifest lacks."""
+    order, each row in the shape of an index row (it stands for its own
+    answer record): how many of the records of the row's sample id are
+    correct, of how many.  ValueError on a repeated manifest id as it is
+    read, and then on a record whose sample id the manifest lacks."""
     totals: dict[str, int] = {}
     corrects: dict[str, int] = {}
     for rec in records:
@@ -419,7 +470,7 @@ def _graded_rows(records, manifest_rows):
         total = totals.get(sid)
         if total is not None:
             joined += 1
-            yield row, corrects.get(sid, 0), total
+            yield (row, row["text_format"], row["visual_format"], row.get("prompt")), corrects.get(sid, 0), total
     if joined < len(totals):
         unknown = [rec.sample_id for rec in records if rec.sample_id not in seen]
         raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
@@ -449,16 +500,13 @@ class AccuracyTable:
         return "\n".join(lines) + "\n"
 
 
-def aggregate(records, manifest_rows) -> AccuracyTable:
-    """Accuracy per task and per representation axis, plus Avg.U / Avg.R.
-
-    Each axis marginalizes over the other (a text format's cell averages all
-    its graded samples across the five visual formats, and vice versa).
-    """
+def tally_accuracy(graded_rows) -> AccuracyTable:
+    """The accuracy table of ``(row, correct, total)`` triples, each ``row``
+    in the shape of an :func:`index_manifest` row."""
     tally = {(section, key): [0, 0] for section, keys in _AXES for key in keys}  # cell -> [correct, total]
-    for row, correct, total in _graded_rows(records, manifest_rows):
-        for section, _ in _AXES:
-            counts = tally[section, row[section]]
+    for row, correct, total in graded_rows:
+        for cell in (("task", row[0]["task"]), ("text_format", row[1]), ("visual_format", row[2])):
+            counts = tally[cell]
             counts[0] += correct
             counts[1] += total
     cells = {cell: (correct / total if total else None, total) for cell, (correct, total) in tally.items()}
@@ -468,6 +516,15 @@ def aggregate(records, manifest_rows) -> AccuracyTable:
         return sum(present) / len(present) if present else None
 
     return AccuracyTable(cells, mean(UNDERSTANDING_TASKS), mean(REASONING_TASKS))
+
+
+def aggregate(records, manifest_rows) -> AccuracyTable:
+    """Accuracy per task and per representation axis, plus Avg.U / Avg.R.
+
+    Each axis marginalizes over the other (a text format's cell averages all
+    its graded samples across the five visual formats, and vice versa).
+    """
+    return tally_accuracy(_graded_rows(records, manifest_rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -485,25 +542,23 @@ class PRMPair:
         return f"{self.text_format}+{self.visual_format}"
 
 
-def build_prm(records, manifest_rows) -> tuple[list[PRMPair], list[str]]:
-    """Per meta, the combo(s) with the highest mean accuracy (ties all kept),
-    and the ids of the metas skipped, in manifest order, because they lack
-    graded records for some of the 35 combos.  The router input is the
-    HO-Neigh prompt (rendering + question).
-    """
+def tally_prm(graded_rows) -> tuple[list[PRMPair], list[str]]:
+    """What :func:`build_prm` returns, of ``(row, correct, total)`` triples
+    in manifest order, each ``row`` in the shape of an :func:`index_manifest`
+    row."""
     slots = {combo: 2 * i for i, combo in enumerate(ALL_COMBOS)}  # where a combo's correct count is; total next
     tallies: dict[str, list[int]] = {}  # meta id -> correct, total of each combo in ALL_COMBOS order
     prompts: dict[str, str] = {}
-    for row, correct, total in _graded_rows(records, manifest_rows):
-        meta_id = row["meta_id"]
+    for row, correct, total in graded_rows:
+        meta_id = row[0]["meta_id"]
         counts = tallies.get(meta_id)
         if counts is None:
             counts = tallies[meta_id] = [0] * (2 * len(ALL_COMBOS))
-        slot = slots[row["text_format"], row["visual_format"]]
+        slot = slots[row[1], row[2]]
         counts[slot] += correct
         counts[slot + 1] += total
-        if row["text_format"] == "HO-Neigh":
-            prompts.setdefault(meta_id, row["prompt"])
+        if row[1] == "HO-Neigh":
+            prompts.setdefault(meta_id, row[3])
     pairs: list[PRMPair] = []
     skipped: list[str] = []
     for meta_id, counts in tallies.items():
@@ -518,6 +573,16 @@ def build_prm(records, manifest_rows) -> tuple[list[PRMPair], list[str]]:
         for text_fmt, visual_fmt in winners:
             pairs.append(PRMPair(meta_id, text_fmt, visual_fmt, prompts[meta_id], degenerate))
     return pairs, skipped
+
+
+def build_prm(records, manifest_rows) -> tuple[list[PRMPair], list[str]]:
+    """Per meta, the combo(s) with the highest mean accuracy (ties all kept),
+    and the ids of the metas skipped, in manifest order, because they lack
+    graded records for some of the 35 combos.  The router input is the
+    HO-Neigh prompt (rendering + question) of the meta's first graded
+    HO-Neigh row.
+    """
+    return tally_prm(_graded_rows(records, manifest_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -603,17 +668,27 @@ def _value_json(value) -> str:
     return _encode_sorted(value)
 
 
-def write_grades(records, path) -> None:
-    """One line per record, keys sorted.  Records share a few flag tuples,
-    so each is encoded once."""
+def grade_line_encoder():
+    """A function giving a record's grades.jsonl line, its fields in sorted
+    key order.  Records share a few flag tuples, so it encodes each once."""
     flags_json: dict[tuple, str] = {}
+
+    def line(rec: GradeRecord) -> str:
+        flags = flags_json.get(rec.flags)
+        if flags is None:
+            flags = flags_json[rec.flags] = _encode_sorted(list(rec.flags))
+        return _GRADE_LINE % (_value_json(rec.correct), flags, json_str(rec.parsed.kind),
+                              _value_json(rec.parsed.value), json_str(rec.sample_id))
+
+    return line
+
+
+def write_grades(records, path) -> None:
+    """One line per record (see :func:`grade_line_encoder`)."""
+    line = grade_line_encoder()
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            flags = flags_json.get(rec.flags)
-            if flags is None:
-                flags = flags_json[rec.flags] = _encode_sorted(list(rec.flags))
-            fh.write(_GRADE_LINE % (_value_json(rec.correct), flags, json_str(rec.parsed.kind),
-                                    _value_json(rec.parsed.value), json_str(rec.sample_id)))
+            fh.write(line(rec))
 
 
 # a prm.jsonl line: the fields of a pair in sorted key order

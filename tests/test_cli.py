@@ -155,6 +155,59 @@ def test_graph_with_out_of_range_vertex_is_usage_error(tmp_path, capsys):
     assert "bad graph file" in capsys.readouterr().err
 
 
+_MISTYPED_GRAPHS = [
+    pytest.param('{"n": 3, "edges": [[0, 1.5]]}', "edge e0 has a vertex id that is not an integer: 1.5", id="float-vertex"),
+    pytest.param('{"n": 3, "edges": [[0, 1], [true, 2]]}', "edge e1 has a vertex id that is not an integer: true",
+                 id="bool-vertex"),
+    pytest.param('{"n": true, "edges": [[0, 1]]}', "'n' must be an integer, got true", id="bool-n"),
+    pytest.param('{"n": 3.0, "edges": [[0, 1]]}', "'n' must be an integer, got 3.0", id="float-n"),
+    pytest.param('{"n": 3, "edges": [[0, 1], "ab"]}', "edge e1 must be an array of vertex ids, got \"ab\"",
+                 id="string-edge"),
+]
+
+
+@pytest.mark.parametrize("text, message", _MISTYPED_GRAPHS)
+@pytest.mark.parametrize("args", [["solve", "--task", "vc"], ["render", "--format", "Enc-Hy"]], ids=["solve", "render"])
+def test_a_mistyped_graph_field_is_named_in_one_line(tmp_path, capsys, args, text, message):
+    graph = tmp_path / "g.json"
+    graph.write_text(text, encoding="utf-8")
+    assert main([*args, "--graph", str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad graph file {graph}: hypergraph JSON {message}\n"
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+def test_a_mistyped_certificate_graph_in_the_manifest_is_named_in_one_line(tmp_path, capsys, cmd):
+    rows = manifest_rows(make_meta("3-CL", 0, "small", "synthetic", 3))
+    graph = rows[0]["answer_spec"]["graph"]
+    broken = {**graph, "edges": [[0, 1.0], *graph["edges"][1:]]}
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps({**row, "answer_spec": {**row["answer_spec"], "graph": broken}}) + "\n"
+                                for row in rows), encoding="utf-8")
+    code, out = _grade(tmp_path, manifest, [json.dumps({"sample_id": rows[0]["sample_id"], "response": "Ans: 1"})], cmd)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: manifest row 1 ({rows[0]['sample_id']}) has an answer_spec.graph that does not "
+                            "build: hypergraph JSON edge e0 has a vertex id that is not an integer: 1.0\n")
+    assert not out.exists()
+
+
+def test_running_out_of_memory_is_one_line_and_exit_2(hstar_file, monkeypatch, capsys):
+    from hyperbench import visual_repr
+
+    def too_large(*args, **kwargs):  # what numpy raises for the all-pairs matrix of a million-vertex layout
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type float64")
+
+    monkeypatch.setattr(visual_repr, "render_svg", too_large)
+    assert main(["render", "--graph", str(hstar_file), "--format", "Enc-Hy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
+                            "(1000000, 1000000) and data type float64\n")
+
+
 def test_solve(hstar_file, capsys):
     assert main(["solve", "--task", "osp", "--graph", str(hstar_file), "--s", "0", "--t", "4"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -846,19 +846,25 @@ def test_each_certificate_meta_builds_one_graph(tmp_path, monkeypatch):
 def test_index_shares_one_built_graph_among_the_rows_of_a_meta():
     rows = manifest_rows(make_meta("HHM", 0, "small", "synthetic", 3))
     slim = list(grade.index_manifest(json.loads(json.dumps(row)) for row in rows).values())
-    assert all(r["graph"] is slim[0]["graph"] for r in slim)
-    assert slim[0]["graph"] == from_json_dict(rows[0]["answer_spec"]["graph"])
+    assert all(answer is slim[0][0] for answer, *_ in slim)
+    assert slim[0][0]["graph"] == from_json_dict(rows[0]["answer_spec"]["graph"])
 
 
 def test_index_keeps_slim_rows_sharing_one_spec_per_meta():
     rows = manifest_rows(make_meta("VC", 0, "small", "synthetic", 3))
     index = grade.index_manifest(json.loads(json.dumps(row)) for row in rows)  # streamed, one decode per row
     slim = list(index.values())
-    assert [r["sample_id"] for r in slim] == [r["sample_id"] for r in rows]
-    assert all(r["answer_spec"] is slim[0]["answer_spec"] for r in slim)
-    assert all(r["answer_spec"] == rows[0]["answer_spec"] for r in slim)
-    assert {r["text_format"] for r in slim if "prompt" in r} == {"HO-Neigh"}
-    assert set(slim[0]) == {"sample_id", "meta_id", "task", "text_format", "visual_format", "answer_spec"}
+    assert list(index) == [r["sample_id"] for r in rows]
+    answer = slim[0][0]
+    assert answer == {"meta_id": "VC-0000", "task": "VC", "answer_spec": rows[0]["answer_spec"]}
+    assert all(row[0] is answer for row in slim)
+    assert [row[1:3] for row in slim] == [(r["text_format"], r["visual_format"]) for r in rows]
+    assert all(row[1] is TEXT_FORMATS[TEXT_FORMATS.index(row[1])] for row in slim)
+    prompts = [row[3] for row in slim if row[1] == "HO-Neigh"]
+    assert len(prompts) == 5 and all(p is prompts[0] for p in prompts)
+    assert prompts[0] == next(r["prompt"] for r in rows if r["text_format"] == "HO-Neigh")
+    assert all(row[3] is None for row in slim if row[1] != "HO-Neigh")
+    assert [row[4] for row in slim] == list(range(35))  # the rank under the shared record
 
 
 def test_index_names_the_row_of_an_unusable_certificate():

@@ -1,0 +1,153 @@
+"""The grade and prm commands against the library composition they must equal
+byte for byte, and the memory they take per graded sample."""
+
+import contextlib
+import io
+import json
+import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperbench import aggregate, build_prm, emit_corpus, grade_responses, read_jsonl
+from hyperbench.cli import main
+from hyperbench.grade import canonical_answer_text, corrupted_answer_text, write_grades, write_prm
+
+
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    """The rows of an emitted manifest of one meta per task (seed 7): half of
+    them real-source, a real 3-CL certificate among them."""
+    out = tmp_path_factory.mktemp("emitted")
+    emit_corpus(per_task=1, master_seed=7, outdir=out, write_images=False)
+    rows = read_jsonl(out / "manifest.jsonl")
+    assert {r["source"] for r in rows} == {"real", "synthetic"}
+    return rows
+
+
+def _write_jsonl(path: Path, records) -> None:
+    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+
+
+def _cli(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(map(str, argv)))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _graded_case(data, emitted):
+    """Manifest rows and responses drawn from the emitted ones.
+
+    Each HO-Neigh prompt names its visual format, and up to three metas get
+    a second HO-Neigh row (own sample id and prompt) at a random place, so
+    which HO-Neigh row is the first graded one in manifest order shows in
+    prm.jsonl; the rows may be shuffled, interleaving the metas.  Each meta
+    has all, some or none of its rows answered, with canonical or corrupted
+    replies, in a random order.
+    """
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))  # a seed, as its hundreds of draws would be too large
+    rows = [{**r, "prompt": f"{r['prompt']} [{r['visual_format']}]"} if r["text_format"] == "HO-Neigh" else r
+            for r in emitted]
+    metas = list(dict.fromkeys(r["meta_id"] for r in rows))
+    for meta in data.draw(st.lists(st.sampled_from(metas), unique=True, max_size=3)):
+        first = next(r for r in rows if r["meta_id"] == meta and r["text_format"] == "HO-Neigh")
+        twin = {**first, "sample_id": first["sample_id"] + "-twin", "prompt": first["prompt"] + " (twin)"}
+        rows.insert(rnd.randrange(len(rows) + 1), twin)
+    if data.draw(st.booleans()):
+        rnd.shuffle(rows)
+    coverage = {meta: data.draw(st.sampled_from(["all", "some", "none"])) for meta in metas}
+    right = data.draw(st.sampled_from([1.0, 0.8, 0.3]))
+    responses = []
+    for row in rows:
+        cover = coverage[row["meta_id"]]
+        if cover == "none" or (cover == "some" and rnd.random() < 0.3):
+            continue
+        reply = canonical_answer_text(row) if rnd.random() < right else corrupted_answer_text(row)
+        responses.append({"sample_id": row["sample_id"], "response": reply})
+    rnd.shuffle(responses)
+    return rows, responses, coverage
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_grade_and_prm_write_what_the_library_composes(emitted, data):
+    rows, responses, coverage = _graded_case(data, emitted)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_jsonl(tmp / "manifest.jsonl", rows)
+        _write_jsonl(tmp / "responses.jsonl", responses)
+        files = ("--manifest", tmp / "manifest.jsonl", "--responses", tmp / "responses.jsonl", "--out", tmp / "cli")
+        graded = _cli("grade", *files)
+        routed = _cli("prm", *files)
+
+        records = grade_responses(rows, responses)
+        lib = tmp / "lib"
+        lib.mkdir()
+        write_grades(records, lib / "grades.jsonl")
+        (lib / "accuracy.csv").write_text(aggregate(records, rows).to_csv(), encoding="utf-8")
+        pairs, skipped = build_prm(records, rows)
+        write_prm(pairs, lib / "prm.jsonl")
+
+        for name in ("grades.jsonl", "accuracy.csv", "prm.jsonl"):
+            assert (tmp / "cli" / name).read_bytes() == (lib / name).read_bytes(), name
+    unanswered = [f"{len(rows) - len(records)} manifest samples have no response\n"] if len(records) < len(rows) else []
+    summary = {"graded": len(records), "correct": sum(r.correct for r in records),
+               "grades": str(tmp / "cli" / "grades.jsonl"), "accuracy": str(tmp / "cli" / "accuracy.csv")}
+    assert graded == (0, json.dumps(summary, sort_keys=True) + "\n", "".join(unanswered))
+    if skipped:
+        named = ", ".join(skipped[:10]) + (", ..." if len(skipped) > 10 else "")
+        unanswered.append(f"{len(skipped)} metas lack graded responses for some combos and were skipped: {named}\n")
+    summary = {"pairs": len(pairs), "path": str(tmp / "cli" / "prm.jsonl")}
+    assert routed == (0, json.dumps(summary, sort_keys=True) + "\n", "".join(unanswered))
+    # a meta with no response is not skipped but absent; a fully answered one is never skipped
+    assert not {meta for meta, cover in coverage.items() if cover != "some"} & set(skipped)
+    # metas come in the manifest order of their first answered rows, each
+    # with the prompt of its first answered HO-Neigh row
+    answered = [row for row in rows if row["sample_id"] in {resp["sample_id"] for resp in responses}]
+    order = list(dict.fromkeys(row["meta_id"] for row in answered))
+    assert [meta for meta in order if meta in skipped] == skipped
+    assert list(dict.fromkeys(pair.meta_id for pair in pairs)) == [meta for meta in order if meta not in skipped]
+    prompts = {}
+    for row in answered:
+        if row["text_format"] == "HO-Neigh":
+            prompts.setdefault(row["meta_id"], row["prompt"])
+    assert all(pair.input_text == prompts[pair.meta_id] for pair in pairs)
+
+
+# Peak of tracemalloc's traced memory while grade and prm run in process,
+# per extra manifest sample, between emitted manifests of 2 and 8 metas per
+# task (840 and 3,360 samples).  Measured: 411 B for grade (the index and the
+# grades.jsonl lines it holds until the end) and 377 B for prm; with per-sample
+# grade records and join dicts it was 764 and 845 B.
+_BYTES_PER_SAMPLE = 550
+
+
+def test_grading_memory_per_sample_stays_small(tmp_path):
+    peaks = {}
+    for per_task in (2, 8):
+        corpus = tmp_path / f"per-task-{per_task}"
+        emit_corpus(per_task=per_task, master_seed=7, outdir=corpus, write_images=False)
+        rows = read_jsonl(corpus / "manifest.jsonl")
+        _write_jsonl(corpus / "responses.jsonl", (
+            {"sample_id": row["sample_id"], "response": (corrupted_answer_text if i % 3 == 0 else canonical_answer_text)(row)}
+            for i, row in enumerate(rows)))
+        samples = len(rows)
+        del rows
+        for cmd in ("grade", "prm"):
+            tracemalloc.start()
+            try:
+                code, _, _ = _cli(cmd, "--manifest", corpus / "manifest.jsonl", "--responses", corpus / "responses.jsonl",
+                                  "--out", corpus / "out")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            peaks[cmd, per_task] = samples, peak
+    for cmd in ("grade", "prm"):
+        (small, low), (large, high) = peaks[cmd, 2], peaks[cmd, 8]
+        assert (high - low) / (large - small) < _BYTES_PER_SAMPLE, cmd
