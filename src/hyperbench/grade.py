@@ -289,6 +289,18 @@ def _certificate_graph(number: int, sid: str, spec: dict):
         raise ValueError(f"{_where(number, sid)} has an answer_spec.graph that does not build: {exc}") from None
 
 
+# answer kind -> (test, description) of the answer_spec.value it is judged
+# against; a certificate is judged against its graph instead.  A bool is not
+# an integer here, as in from_json_dict
+_VALUES = {
+    "count": (lambda v: type(v) is int, "an integer"),
+    "flow": (lambda v: type(v) is int, "an integer"),
+    "path_weight": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "vertex_set": (lambda v: type(v) is list and all(type(i) is int for i in v), "an array of integers"),
+    "yes_no": (lambda v: type(v) is bool, "a boolean"),
+}
+
+
 def _shared(kept: list, value):
     """The value in ``kept`` equal to ``value``, or else ``value`` itself,
     appended to ``kept``."""
@@ -316,10 +328,11 @@ def index_manifest(manifest_rows) -> dict[str, tuple]:
     - its rank among the rows sharing its answer record, which
       :class:`Grading` keeps the row's verdict under.
 
-    ValueError names the first row that lacks a key grading reads, names an
-    unknown task or format, holds an answer kind other than its task's or a
-    certificate graph or params grading cannot use, or repeats an earlier
-    row's sample id.
+    ValueError names the first row that lacks a key grading reads, has a
+    sample id, meta id or prompt that is not a string, names an unknown task
+    or format, holds an answer kind other than its task's, an answer value
+    not of its kind's JSON type or a certificate graph or params grading
+    cannot use, or repeats an earlier row's sample id.
     """
     by_id: dict[str, tuple] = {}
     metas: dict[str, tuple] = {}  # meta id -> ([answer record, rows sharing it] of each, distinct prompts)
@@ -334,8 +347,9 @@ def index_manifest(manifest_rows) -> dict[str, tuple]:
             missing += [f"answer_spec.{k}" for k in ("kind", *reads) if k not in spec]
         if missing:
             raise ValueError(f"{_where(n, sid)} lacks {', '.join(missing)}")
-        if not isinstance(sid, str):
-            raise ValueError(f"{_where(n, sid)} has no string sample_id")
+        for key in ("sample_id", "meta_id", "prompt"):
+            if not isinstance(row[key], str):
+                raise ValueError(f"{_where(n, sid)} has no string {key}")
         names = []
         for key, axis in _AXES:
             # keep the axis's own name string, not the row's equal copy, so that rows share it
@@ -352,12 +366,14 @@ def index_manifest(manifest_rows) -> dict[str, tuple]:
         if sid in by_id:
             raise ValueError(f"{_where(n, sid)} repeats the sample id of an earlier row")
         meta_id = row["meta_id"]
-        answers, prompts = metas.setdefault(meta_id, ([], [])) if isinstance(meta_id, str) else ([], [])
+        answers, prompts = metas.setdefault(meta_id, ([], []))
         shared = next((a for a in answers if a[0]["task"] is task and a[0]["answer_spec"] == spec), None)
-        if shared is None:  # a record first kept: a certificate's graph is built now, for every row sharing it
+        if shared is None:  # a record first kept: its value is checked or its graph built, for every row sharing it
             answer = {"meta_id": meta_id, "task": task, "answer_spec": spec}
             if certificate:
                 answer["graph"] = _certificate_graph(n, sid, spec)
+            elif not _VALUES[kind][0](spec["value"]):
+                raise ValueError(f"{_where(n, sid)} has an answer_spec.value that is not {_VALUES[kind][1]}")
             shared = [answer, 0]
             answers.append(shared)
         prompt = _shared(prompts, row["prompt"]) if text_format == "HO-Neigh" else None
@@ -425,54 +441,47 @@ class Grading:
             raise ValueError(f"responses reference unknown sample ids: {list(unknown)[:10]}")
 
     def graded_rows(self):
-        """``(row, correct, 1)`` for each graded row of the index, in manifest
+        """``(row, correct)`` for each graded row of the index, in manifest
         order, ``correct`` being 1 or 0."""
         masks_of = self._masks.get
         for row in self.index.values():
             masks = masks_of(id(row[0]))
             if masks is not None and masks[0] >> row[4] & 1:
-                yield row, masks[1] >> row[4] & 1, 1
+                yield row, masks[1] >> row[4] & 1
 
 
 def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OPTIONS) -> list[GradeRecord]:
-    """Grade ``{"sample_id", "response"}`` responses against a manifest, given
-    as rows, which may be streamed, or as the dict :func:`index_manifest`
-    makes of them; the responses may be streamed too.
+    """Grade ``{"sample_id", "response"}`` responses against manifest rows;
+    both may be streamed.
 
     The text may be under ``raw_text`` instead of ``response``.  A response
     without either, a repeated sample id or an unknown one is a ValueError,
     as is a manifest row that :func:`index_manifest` rejects.
     """
-    index = manifest_rows if isinstance(manifest_rows, dict) else index_manifest(manifest_rows)
-    return list(Grading(index, options).grade(responses))
+    return list(Grading(index_manifest(manifest_rows), options).grade(responses))
 
 
 def _graded_rows(records, manifest_rows):
-    """(row, correct, total) for each manifest row with records, in manifest
-    order, each row in the shape of an index row (it stands for its own
-    answer record): how many of the records of the row's sample id are
-    correct, of how many.  ValueError on a repeated manifest id as it is
-    read, and then on a record whose sample id the manifest lacks."""
-    totals: dict[str, int] = {}
-    corrects: dict[str, int] = {}
+    """``(row, correct)`` for each record, in the manifest order of its sample
+    id, each row in the shape of an index row (it stands for its own answer
+    record); a repeated record counts once per copy.  ValueError on a
+    repeated manifest id as it is read, and then on a record whose sample id
+    the manifest lacks."""
+    verdicts: dict[str, list] = {}
     for rec in records:
-        sid = rec.sample_id
-        totals[sid] = totals.get(sid, 0) + 1
-        if rec.correct:
-            corrects[sid] = corrects.get(sid, 0) + 1
-    joined = 0
-    seen: dict[str, None] = {}  # as a set, but a fifth of the memory at corpus scale
+        verdicts.setdefault(rec.sample_id, []).append(rec.correct)
+    seen = set()
     for row in manifest_rows:
         sid = row["sample_id"]
         if sid in seen:
             raise ValueError(f"manifest sample id {sid} appears more than once")
-        seen[sid] = None
-        total = totals.get(sid)
-        if total is not None:
-            joined += 1
-            yield (row, row["text_format"], row["visual_format"], row.get("prompt")), corrects.get(sid, 0), total
-    if joined < len(totals):
-        unknown = [rec.sample_id for rec in records if rec.sample_id not in seen]
+        seen.add(sid)
+        if sid in verdicts:
+            shaped = (row, row["text_format"], row["visual_format"], row.get("prompt"))
+            for correct in verdicts.pop(sid):
+                yield shaped, correct
+    if verdicts:
+        unknown = [rec.sample_id for rec in records if rec.sample_id in verdicts]
         raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
 
 
@@ -501,14 +510,14 @@ class AccuracyTable:
 
 
 def tally_accuracy(graded_rows) -> AccuracyTable:
-    """The accuracy table of ``(row, correct, total)`` triples, each ``row``
-    in the shape of an :func:`index_manifest` row."""
+    """The accuracy table of ``(row, correct)`` verdicts, each ``row`` in the
+    shape of an :func:`index_manifest` row and ``correct`` 1 or 0 (or a bool)."""
     tally = {(section, key): [0, 0] for section, keys in _AXES for key in keys}  # cell -> [correct, total]
-    for row, correct, total in graded_rows:
+    for row, correct in graded_rows:
         for cell in (("task", row[0]["task"]), ("text_format", row[1]), ("visual_format", row[2])):
             counts = tally[cell]
             counts[0] += correct
-            counts[1] += total
+            counts[1] += 1
     cells = {cell: (correct / total if total else None, total) for cell, (correct, total) in tally.items()}
 
     def mean(tasks):
@@ -543,20 +552,20 @@ class PRMPair:
 
 
 def tally_prm(graded_rows) -> tuple[list[PRMPair], list[str]]:
-    """What :func:`build_prm` returns, of ``(row, correct, total)`` triples
-    in manifest order, each ``row`` in the shape of an :func:`index_manifest`
-    row."""
+    """What :func:`build_prm` returns, of ``(row, correct)`` verdicts in
+    manifest order, each ``row`` in the shape of an :func:`index_manifest`
+    row and ``correct`` 1 or 0 (or a bool)."""
     slots = {combo: 2 * i for i, combo in enumerate(ALL_COMBOS)}  # where a combo's correct count is; total next
     tallies: dict[str, list[int]] = {}  # meta id -> correct, total of each combo in ALL_COMBOS order
     prompts: dict[str, str] = {}
-    for row, correct, total in graded_rows:
+    for row, correct in graded_rows:
         meta_id = row[0]["meta_id"]
         counts = tallies.get(meta_id)
         if counts is None:
             counts = tallies[meta_id] = [0] * (2 * len(ALL_COMBOS))
         slot = slots[row[1], row[2]]
         counts[slot] += correct
-        counts[slot + 1] += total
+        counts[slot + 1] += 1
         if row[1] == "HO-Neigh":
             prompts.setdefault(meta_id, row[3])
     pairs: list[PRMPair] = []
@@ -698,7 +707,7 @@ _PRM_LINE = '{"input_text": %s, "label_combo": %s, "meta_id": %s}\n'
 def write_prm(pairs, path) -> None:
     """One line per pair, keys sorted.  The pairs of a meta share its prompt,
     so it is encoded once per meta, not once per winning combo."""
-    text = prompt = None
+    text = object()  # no pair's input_text is this one, so the first pair's is encoded
     with open(path, "w", encoding="utf-8") as fh:
         for pair in pairs:
             if pair.input_text is not text:

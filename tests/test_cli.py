@@ -516,14 +516,31 @@ def test_grade_bad_responses_are_usage_errors(tmp_path, vc_manifest, capsys, cmd
     assert not out.exists()
 
 
+# a row of another task with this answer kind, and a value of the wrong JSON type for it
+_MISTYPED_VALUES = {
+    "count_bool": ("VC", "count", True, "an integer"),
+    "count_float": ("VC", "count", 3.0, "an integer"),
+    "flow_string": ("OMF", "flow", "3", "an integer"),
+    "path_weight_list": ("OSP", "path_weight", [6], "an integer or null"),
+    "vertex_set_int": ("Ne", "vertex_set", 5, "an array of integers"),
+    "vertex_set_null": ("Ne", "vertex_set", None, "an array of integers"),
+    "vertex_set_mixed": ("Ne", "vertex_set", [1, "a"], "an array of integers"),
+    "vertex_set_bools": ("Ne", "vertex_set", [True], "an array of integers"),
+    "yes_no_int": ("ISM", "yes_no", 1, "a boolean"),
+}
+
+
 @pytest.mark.parametrize("cmd", ["grade", "prm"])
 @pytest.mark.parametrize(
-    "case", ["malformed_line", "empty_row", "no_answer_spec", "unknown_format", "repeated_id", "kind_mismatch"]
+    "case",
+    ["malformed_line", "empty_row", "no_answer_spec", "unknown_format", "repeated_id", "kind_mismatch",
+     "meta_id_int", "meta_id_list", "prompt_int", "prompt_null", *_MISTYPED_VALUES],
 )
 def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, cmd, case):
     manifest, rows = vc_manifest
     sid = rows[0]["sample_id"]
     lines = [json.dumps(row, sort_keys=True) for row in rows]
+    honeigh = next(i for i, row in enumerate(rows) if row["text_format"] == "HO-Neigh")
     if case == "no_answer_spec":
         lines[0] = json.dumps({k: v for k, v in rows[0].items() if k != "answer_spec"})
     elif case == "unknown_format":
@@ -532,6 +549,13 @@ def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, 
         lines.append(json.dumps({**rows[0], "answer_spec": {**rows[0]["answer_spec"], "value": 999}}))
     elif case == "kind_mismatch":
         lines[0] = json.dumps({**rows[0], "answer_spec": {**rows[0]["answer_spec"], "kind": "yes_no"}})
+    elif case.startswith("meta_id_"):
+        lines[0] = json.dumps({**rows[0], "meta_id": 5 if case == "meta_id_int" else [1]})
+    elif case.startswith("prompt_"):
+        lines[honeigh] = json.dumps({**rows[honeigh], "prompt": 5 if case == "prompt_int" else None})
+    elif case in _MISTYPED_VALUES:
+        task, kind, value, _ = _MISTYPED_VALUES[case]
+        lines[0] = json.dumps({**rows[0], "task": task, "answer_spec": {"kind": kind, "value": value}})
     else:
         lines.append('{"sample_id": ' if case == "malformed_line" else "{}")
     manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -544,6 +568,12 @@ def test_grade_malformed_manifest_is_usage_error(tmp_path, vc_manifest, capsys, 
         "unknown_format": f"manifest row 1 ({sid}) has unknown text_format 'Nope'\n",
         "repeated_id": f"manifest row {len(rows) + 1} ({sid}) repeats the sample id of an earlier row\n",
         "kind_mismatch": f"manifest row 1 ({sid}) has answer_spec.kind 'yes_no', but VC answers 'count'\n",
+        "meta_id_int": f"manifest row 1 ({sid}) has no string meta_id\n",
+        "meta_id_list": f"manifest row 1 ({sid}) has no string meta_id\n",
+        "prompt_int": f"manifest row {honeigh + 1} ({rows[honeigh]['sample_id']}) has no string prompt\n",
+        "prompt_null": f"manifest row {honeigh + 1} ({rows[honeigh]['sample_id']}) has no string prompt\n",
+        **{name: f"manifest row 1 ({sid}) has an answer_spec.value that is not {what}\n"
+           for name, (*_, what) in _MISTYPED_VALUES.items()},
     }[case]
     captured = capsys.readouterr()
     assert captured.out == ""

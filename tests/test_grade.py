@@ -714,6 +714,17 @@ def test_write_prm_matches_write_jsonl(tmp_path):
     assert (tmp_path / "prm.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
+def test_write_prm_rejects_a_pair_without_a_prompt(tmp_path):
+    # build_prm reads a row's prompt with .get, so a library caller's pair
+    # may hold None; it is not taken as a prompt already encoded
+    path = tmp_path / "prm.jsonl"
+    with pytest.raises(TypeError):
+        write_prm([PRMPair("VC-0000", "N-Set", "Enc-Hy", None)], path)
+    with pytest.raises(TypeError):
+        write_prm([PRMPair("VC-0000", "N-Set", "Enc-Hy", "prompt"), PRMPair("VC-0001", "N-Set", "Enc-Hy", None)], path)
+    assert [json.loads(line)["input_text"] for line in path.read_text().splitlines()] == ["prompt"]
+
+
 def _grade_fields(rec: GradeRecord) -> dict:
     value = rec.parsed.value
     return {

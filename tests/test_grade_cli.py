@@ -1,5 +1,6 @@
 """The grade and prm commands against the library composition they must equal
-byte for byte, and the memory they take per graded sample."""
+byte for byte, on fields of the wrong JSON type, and the memory they take per
+graded sample."""
 
 import contextlib
 import io
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from hyperbench import aggregate, build_prm, emit_corpus, grade_responses, read_jsonl
 from hyperbench.cli import main
-from hyperbench.grade import canonical_answer_text, corrupted_answer_text, write_grades, write_prm
+from hyperbench.grade import _ROW_KEYS, canonical_answer_text, corrupted_answer_text, write_grades, write_prm
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,56 @@ def test_grade_and_prm_write_what_the_library_composes(emitted, data):
         if row["text_format"] == "HO-Neigh":
             prompts.setdefault(row["meta_id"], row["prompt"])
     assert all(pair.input_text == prompts[pair.meta_id] for pair in pairs)
+
+
+# each field grading reads: a manifest row's keys, its answer_spec's keys and a response's keys
+_READ_FIELDS = [
+    *(("row", key) for key in _ROW_KEYS),
+    *(("answer_spec", key) for key in ("kind", "value", "params")),
+    *(("response", key) for key in ("sample_id", "response")),
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text('ab" \u00e9\n', max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("st", max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_field_of_the_wrong_json_type_is_exit_2_or_graded_into_json(emitted, data):
+    # one field, in one row or response or in all of a meta's, holds a value
+    # of another JSON type than the emitted one
+    where, key = data.draw(st.sampled_from(_READ_FIELDS))
+    rows = list(emitted)
+    responses = [{"sample_id": row["sample_id"], "response": canonical_answer_text(row)} for row in rows]
+    meta = data.draw(st.sampled_from(sorted({row["meta_id"] for row in rows})))
+    targets = [i for i, row in enumerate(rows) if row["meta_id"] == meta]
+    if data.draw(st.booleans()):
+        targets = [data.draw(st.sampled_from(targets))]
+    records = responses if where == "response" else rows
+    original = records[targets[0]]
+    kind = type((original["answer_spec"] if where == "answer_spec" else original).get(key))
+    value = data.draw(_JSON_VALUES.filter(lambda v: type(v) is not kind))
+    for i in targets:
+        if where == "answer_spec":
+            records[i] = {**records[i], "answer_spec": {**records[i]["answer_spec"], key: value}}
+        else:
+            records[i] = {**records[i], key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_jsonl(tmp / "manifest.jsonl", rows)
+        _write_jsonl(tmp / "responses.jsonl", responses)
+        for cmd in ("grade", "prm"):
+            code, _, err = _cli(cmd, "--manifest", tmp / "manifest.jsonl", "--responses", tmp / "responses.jsonl",
+                                "--out", tmp / cmd)
+            assert code in (0, 2), err
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err, err
+            for name in ("grades.jsonl", "prm.jsonl"):
+                if (tmp / cmd / name).exists():
+                    for line in (tmp / cmd / name).read_text(encoding="utf-8").splitlines():
+                        json.loads(line)
 
 
 # Peak of tracemalloc's traced memory while grade and prm run in process,
