@@ -12,7 +12,9 @@ import argparse
 import gc
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -107,6 +109,8 @@ def _load_pool(path: str | None, scales) -> gen.SourcePool | None:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     outdir = _out_dir(args.out)
     pool = _load_pool(args.pool, [args.scale] if args.source == "real" else [])
     for i in range(args.count):
@@ -240,19 +244,20 @@ def _open_rows(stack: ExitStack, path: str, what: str):
 
 
 @contextmanager
-def _grading(args, each=None):
+def _grading(args, each=None, prompts=True):
     """A grading run of the responses against the manifest, both files
     streamed, for the body of a ``with``: each response is judged as it is
-    read, and its record passed to ``each``.  Says on stderr how many
-    manifest samples have no response.  The index lives to the end of the
-    body, so it is frozen out of the cyclic GC's passes until then (and
-    unfrozen after, as ``main`` may run in-process)."""
+    read, and its record passed to ``each``.  The index keeps HO-Neigh
+    prompts only if ``prompts`` is true.  Says on stderr how many manifest
+    samples have no response.  The index lives to the end of the body, so it
+    is frozen out of the cyclic GC's passes until then (and unfrozen after,
+    as ``main`` may run in-process)."""
     options = GradeOptions(lenient=not args.strict, marker=args.marker)
     with ExitStack() as stack:
         manifest = _open_rows(stack, args.manifest, "manifest")
         responses = _open_rows(stack, args.responses, "responses")
         try:
-            index = index_manifest(manifest)
+            index = index_manifest(manifest, prompts=prompts)
             gc.freeze()
             stack.callback(gc.unfreeze)
             run = Grading(index, options)
@@ -268,12 +273,15 @@ def _grading(args, each=None):
 
 
 def _cmd_grade(args) -> int:
-    grades = bytearray()  # grades.jsonl, written only once every response is judged
     line = grade_line_encoder()
-    with _grading(args, lambda record: grades.extend(line(record).encode())) as run:
-        table = tally_accuracy(run.graded_rows())
-    outdir = _out_dir(args.out)
-    (outdir / "grades.jsonl").write_bytes(grades)
+    # grades.jsonl, spilled to an anonymous file and copied out only once every response is judged
+    with tempfile.TemporaryFile() as grades:
+        with _grading(args, lambda record: grades.write(line(record).encode()), prompts=False) as run:
+            table = tally_accuracy(run.graded_rows())
+        outdir = _out_dir(args.out)
+        grades.seek(0)
+        with open(outdir / "grades.jsonl", "wb") as fh:
+            shutil.copyfileobj(grades, fh)
     (outdir / "accuracy.csv").write_text(table.to_csv(), encoding="utf-8")
     print(
         json.dumps(
@@ -298,8 +306,8 @@ def _cmd_prm(args) -> int:
               file=sys.stderr)
     outdir = _out_dir(args.out)
     path = outdir / "prm.jsonl"
-    write_prm(pairs, path)
-    print(json.dumps({"pairs": len(pairs), "path": str(path)}, sort_keys=True))
+    count = write_prm(pairs, path)  # the pairs are made as they are written
+    print(json.dumps({"pairs": count, "path": str(path)}, sort_keys=True))
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .bench import ALL_COMBOS, REASONING_TASKS, TASKS, UNDERSTANDING_TASKS, task_spec
@@ -311,7 +312,7 @@ def _shared(kept: list, value):
     return value
 
 
-def index_manifest(manifest_rows) -> dict[str, tuple]:
+def index_manifest(manifest_rows, *, prompts: bool = True) -> dict[str, tuple]:
     """Check and index manifest rows, which may be streamed: by sample id, in
     manifest order, a tuple ``(answer, text_format, visual_format, prompt,
     rank)`` for each row.  Each row is checked as it is read, and only its
@@ -324,7 +325,8 @@ def index_manifest(manifest_rows) -> dict[str, tuple]:
       meta's certificate graph is built once;
     - its text and visual format names, the format tables' own strings;
     - its prompt if it is an HO-Neigh row (the router input :func:`build_prm`
-      reads), a meta's equal prompts sharing one string, and None otherwise;
+      reads) and ``prompts`` is true, a meta's equal prompts sharing one
+      string, and None otherwise (every row's prompt is still checked);
     - its rank among the rows sharing its answer record, which
       :class:`Grading` keeps the row's verdict under.
 
@@ -366,7 +368,7 @@ def index_manifest(manifest_rows) -> dict[str, tuple]:
         if sid in by_id:
             raise ValueError(f"{_where(n, sid)} repeats the sample id of an earlier row")
         meta_id = row["meta_id"]
-        answers, prompts = metas.setdefault(meta_id, ([], []))
+        answers, kept = metas.setdefault(meta_id, ([], []))
         shared = next((a for a in answers if a[0]["task"] is task and a[0]["answer_spec"] == spec), None)
         if shared is None:  # a record first kept: its value is checked or its graph built, for every row sharing it
             answer = {"meta_id": meta_id, "task": task, "answer_spec": spec}
@@ -376,7 +378,7 @@ def index_manifest(manifest_rows) -> dict[str, tuple]:
                 raise ValueError(f"{_where(n, sid)} has an answer_spec.value that is not {_VALUES[kind][1]}")
             shared = [answer, 0]
             answers.append(shared)
-        prompt = _shared(prompts, row["prompt"]) if text_format == "HO-Neigh" else None
+        prompt = _shared(kept, row["prompt"]) if prompts and text_format == "HO-Neigh" else None
         by_id[sid] = (shared[0], text_format, visual_format, prompt, shared[1])
         shared[1] += 1
     return by_id
@@ -551,10 +553,11 @@ class PRMPair:
         return f"{self.text_format}+{self.visual_format}"
 
 
-def tally_prm(graded_rows) -> tuple[list[PRMPair], list[str]]:
+def tally_prm(graded_rows) -> tuple[Iterator[PRMPair], list[str]]:
     """What :func:`build_prm` returns, of ``(row, correct)`` verdicts in
     manifest order, each ``row`` in the shape of an :func:`index_manifest`
-    row and ``correct`` 1 or 0 (or a bool)."""
+    row and ``correct`` 1 or 0 (or a bool).  The verdicts are tallied and the
+    skipped metas found at once, but the pairs are made as they are read."""
     slots = {combo: 2 * i for i, combo in enumerate(ALL_COMBOS)}  # where a combo's correct count is; total next
     tallies: dict[str, list[int]] = {}  # meta id -> correct, total of each combo in ALL_COMBOS order
     prompts: dict[str, str] = {}
@@ -568,20 +571,21 @@ def tally_prm(graded_rows) -> tuple[list[PRMPair], list[str]]:
         counts[slot + 1] += 1
         if row[1] == "HO-Neigh":
             prompts.setdefault(meta_id, row[3])
-    pairs: list[PRMPair] = []
-    skipped: list[str] = []
-    for meta_id, counts in tallies.items():
-        totals = counts[1::2]
-        if 0 in totals:
-            skipped.append(meta_id)
-            continue
-        means = [correct / total for correct, total in zip(counts[::2], totals)]
-        best = max(means)
-        winners = [combo for combo, mean in zip(ALL_COMBOS, means) if mean == best]
-        degenerate = len(winners) == len(ALL_COMBOS)
-        for text_fmt, visual_fmt in winners:
-            pairs.append(PRMPair(meta_id, text_fmt, visual_fmt, prompts[meta_id], degenerate))
-    return pairs, skipped
+    skipped = [meta_id for meta_id, counts in tallies.items() if 0 in counts[1::2]]
+
+    def pairs():
+        for meta_id, counts in tallies.items():
+            totals = counts[1::2]
+            if 0 in totals:
+                continue
+            means = [correct / total for correct, total in zip(counts[::2], totals)]
+            best = max(means)
+            winners = [combo for combo, mean in zip(ALL_COMBOS, means) if mean == best]
+            degenerate = len(winners) == len(ALL_COMBOS)
+            for text_fmt, visual_fmt in winners:
+                yield PRMPair(meta_id, text_fmt, visual_fmt, prompts[meta_id], degenerate)
+
+    return pairs(), skipped
 
 
 def build_prm(records, manifest_rows) -> tuple[list[PRMPair], list[str]]:
@@ -591,7 +595,8 @@ def build_prm(records, manifest_rows) -> tuple[list[PRMPair], list[str]]:
     HO-Neigh prompt (rendering + question) of the meta's first graded
     HO-Neigh row.
     """
-    return tally_prm(_graded_rows(records, manifest_rows))
+    pairs, skipped = tally_prm(_graded_rows(records, manifest_rows))
+    return list(pairs), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -704,14 +709,17 @@ def write_grades(records, path) -> None:
 _PRM_LINE = '{"input_text": %s, "label_combo": %s, "meta_id": %s}\n'
 
 
-def write_prm(pairs, path) -> None:
-    """One line per pair, keys sorted.  The pairs of a meta share its prompt,
-    so it is encoded once per meta, not once per winning combo."""
+def write_prm(pairs, path) -> int:
+    """One line per pair, keys sorted, the pairs maybe streamed; the number
+    of pairs written.  The pairs of a meta share its prompt, so it is encoded
+    once per meta, not once per winning combo."""
     text = object()  # no pair's input_text is this one, so the first pair's is encoded
+    written = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
+        for written, pair in enumerate(pairs, 1):
             if pair.input_text is not text:
                 text = pair.input_text
                 prompt = json_str(text)
             fh.write(_PRM_LINE % (prompt, json_str(pair.label_combo), json_str(pair.meta_id)))
+    return written
 

@@ -5,12 +5,13 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
-from hyperbench import Hypergraph, bench, make_meta, read_jsonl, save_json
+from hyperbench import Hypergraph, bench, grade, make_meta, read_jsonl, save_json
 from hyperbench.bench import plan_assignments
 from hyperbench.cli import build_parser, main
 from hyperbench.grade import canonical_answer_text, corrupted_answer_text
@@ -48,6 +49,15 @@ def test_generate(tmp_path, capsys):
     for line in lines:
         info = json.loads(line)
         assert (tmp_path / "graphs" / info["path"].split("/")[-1]).is_file()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_generate_count_below_one_is_usage_error(tmp_path, capsys, count):
+    out = tmp_path / "graphs"
+    assert main(["generate", "--seed", "5", "--count", count, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --count must be at least 1, got {count}\n")
+    assert not out.exists()
 
 
 def test_generate_ism(tmp_path, capsys):
@@ -514,6 +524,47 @@ def test_grade_bad_responses_are_usage_errors(tmp_path, vc_manifest, capsys, cmd
     assert captured.out == ""
     assert message in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("unknown_last", "error: responses reference unknown sample ids: ['nope']\n"),
+        ("malformed_last", "resp.jsonl:36: malformed JSON line"),
+        ("interrupt", "error: interrupted\n"),
+    ],
+)
+def test_a_failure_after_lines_were_judged_leaves_no_output(tmp_path, vc_manifest, monkeypatch, capsys, cmd, case,
+                                                            message):
+    # grade spills each judged line to an anonymous temporary file: a run that fails after
+    # judging leaves no --out, and nothing in the temporary directory
+    manifest, rows = vc_manifest
+    spill = tmp_path / "tmp"
+    spill.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill))
+    lines = [json.dumps({"sample_id": r["sample_id"], "response": canonical_answer_text(r)}) for r in rows]
+    if case == "unknown_last":
+        lines.append(json.dumps({"sample_id": "nope", "response": "Ans: 1"}))
+    elif case == "malformed_last":
+        lines.append('{"sample_id": "nope", "response": ')
+    else:
+        judge, judged = grade.judge, []
+
+        def interrupted_at_the_tenth(*args):
+            judged.append(None)
+            if len(judged) == 10:
+                raise KeyboardInterrupt
+            return judge(*args)
+
+        monkeypatch.setattr(grade, "judge", interrupted_at_the_tenth)
+    code, out = _grade(tmp_path / "run", manifest, lines, cmd)
+    assert code == (130 if case == "interrupt" else 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and len(captured.err.splitlines()) == 1
+    assert not out.exists()
+    assert list(spill.iterdir()) == []
 
 
 # a row of another task with this answer kind, and a value of the wrong JSON type for it

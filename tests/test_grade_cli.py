@@ -172,10 +172,16 @@ def test_a_field_of_the_wrong_json_type_is_exit_2_or_graded_into_json(emitted, d
 
 # Peak of tracemalloc's traced memory while grade and prm run in process,
 # per extra manifest sample, between emitted manifests of 2 and 8 metas per
-# task (840 and 3,360 samples).  Measured: 411 B for grade (the index and the
-# grades.jsonl lines it holds until the end) and 377 B for prm; with per-sample
-# grade records and join dicts it was 764 and 845 B.
-_BYTES_PER_SAMPLE = 550
+# task (840 and 3,360 samples), over mixed replies (a third of them corrupted)
+# or all-canonical ones (every meta a 35-way tie, so prm writes 35 pairs a
+# meta).  Each command runs once untraced first, so that one-time costs
+# (caches filled on first use) fall outside both peaks, whatever ran before.
+# Measured on CPython 3.10-3.12: 290-313 B for grade, which spills its
+# grades.jsonl lines to a temporary file and keeps no HO-Neigh prompt
+# (498-525 B when it held both), and 314-341 and 290-320 B for prm, which
+# writes its pairs as it makes them (349-380 and 385-415 B when it held them
+# all).  Most of what is left is the manifest index.
+_BYTES_PER_SAMPLE = {("grade", "mixed"): 360, ("prm", "mixed"): 550, ("prm", "canonical"): 360}
 
 
 def test_grading_memory_per_sample_stays_small(tmp_path):
@@ -184,21 +190,26 @@ def test_grading_memory_per_sample_stays_small(tmp_path):
         corpus = tmp_path / f"per-task-{per_task}"
         emit_corpus(per_task=per_task, master_seed=7, outdir=corpus, write_images=False)
         rows = read_jsonl(corpus / "manifest.jsonl")
-        _write_jsonl(corpus / "responses.jsonl", (
-            {"sample_id": row["sample_id"], "response": (corrupted_answer_text if i % 3 == 0 else canonical_answer_text)(row)}
-            for i, row in enumerate(rows)))
+        for replies, corrupt in (("mixed", lambda i: i % 3 == 0), ("canonical", lambda i: False)):
+            _write_jsonl(corpus / f"{replies}.jsonl", (
+                {"sample_id": row["sample_id"],
+                 "response": (corrupted_answer_text if corrupt(i) else canonical_answer_text)(row)}
+                for i, row in enumerate(rows)))
         samples = len(rows)
         del rows
-        for cmd in ("grade", "prm"):
+        for cmd, replies in _BYTES_PER_SAMPLE:
+            argv = (cmd, "--manifest", corpus / "manifest.jsonl", "--responses", corpus / f"{replies}.jsonl",
+                    "--out", corpus / "out")
+            if per_task == 2:
+                _cli(*argv)
             tracemalloc.start()
             try:
-                code, _, _ = _cli(cmd, "--manifest", corpus / "manifest.jsonl", "--responses", corpus / "responses.jsonl",
-                                  "--out", corpus / "out")
+                code, _, _ = _cli(*argv)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert code == 0
-            peaks[cmd, per_task] = samples, peak
-    for cmd in ("grade", "prm"):
-        (small, low), (large, high) = peaks[cmd, 2], peaks[cmd, 8]
-        assert (high - low) / (large - small) < _BYTES_PER_SAMPLE, cmd
+            peaks[cmd, replies, per_task] = samples, peak
+    for (cmd, replies), bound in _BYTES_PER_SAMPLE.items():
+        (small, low), (large, high) = peaks[cmd, replies, 2], peaks[cmd, replies, 8]
+        assert (high - low) / (large - small) < bound, (cmd, replies, (high - low) / (large - small))
