@@ -65,11 +65,13 @@ def _parse_source_mix(text: str) -> tuple[int, int]:
 
 
 def _load(what: str, loader, path: str):
-    """``loader(path)``, with a missing or malformed file as a usage error."""
+    """``loader(path)``, with a missing, unreadable or malformed file as a usage error."""
     try:
         return loader(path)
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}")
+    except OSError as exc:  # a directory, or a file it may not read
+        raise UsageError(f"cannot read {what} file {path}: {exc.strerror}")
     except (ValueError, IndexError, KeyError, TypeError) as exc:
         raise UsageError(f"bad {what} file {path}: {exc}")
 
@@ -111,8 +113,8 @@ def _load_pool(path: str | None, scales) -> gen.SourcePool | None:
 def _cmd_generate(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
-    outdir = _out_dir(args.out)
     pool = _load_pool(args.pool, [args.scale] if args.source == "real" else [])
+    outdir = _out_dir(args.out)
     for i in range(args.count):
         spec = gen.GenSpec("generic", args.scale, args.source, gen.derive_seed(args.seed, "cli-gen", i))
         shown = {}
@@ -236,11 +238,14 @@ def _cmd_emit(args) -> int:
 
 def _open_rows(stack: ExitStack, path: str, what: str):
     """The records of a JSONL file, streamed; the file is opened now, so that
-    a missing one is a usage error here rather than at the first record."""
+    a missing or unreadable one is a usage error here rather than at the
+    first record."""
     try:
         return iter_jsonl(stack.enter_context(open(path, encoding="utf-8")))
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}")
+    except OSError as exc:  # a directory, or a file it may not read
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror}")
 
 
 @contextmanager

@@ -264,7 +264,8 @@ def _leading_member(line: str):
 def iter_jsonl(fh):
     """The records of an open JSONL file, one at a time, each equal, in keys
     and key order, to ``json.loads`` of its line; ValueError naming the first
-    malformed line by the file's name and line number.
+    malformed line, or the first line that is not UTF-8, by the file's name
+    and line number.
 
     Consecutive lines often open with the same member (the 35 rows of a meta
     lead with its answer spec), so the text of the last leading object or
@@ -274,27 +275,34 @@ def iter_jsonl(fh):
     and takes its last value, as in ``json.loads``.  A line whose rest does
     not decode is decoded whole, for json's own error."""
     lead, key, value = " ", None, None  # no stripped line starts with a space
-    for lineno, line in enumerate(fh, 1):
-        line = line.strip()
-        if not line:
-            continue
-        # a line not led by the kept text, but by a key and "{" or "[", may set a new lead
-        if not line.startswith(lead) and line.startswith(("{", "["), line.find('": ') + 3):
-            lead, key, value = _leading_member(line) or (lead, key, value)
-        rest = None
-        if line.startswith(lead):
-            try:
-                rest = _loads("{" + line[len(lead) - 1:])
-            except (ValueError, RecursionError):
-                pass
-        if rest is not None:
-            record = {key: value, **rest}
-        else:
-            try:
-                record = _loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{fh.name}:{lineno}: malformed JSON line: {exc}") from None
-        yield record
+    lineno = 0
+    try:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            # a line not led by the kept text, but by a key and "{" or "[", may set a new lead
+            if not line.startswith(lead) and line.startswith(("{", "["), line.find('": ') + 3):
+                lead, key, value = _leading_member(line) or (lead, key, value)
+            rest = None
+            if line.startswith(lead):
+                try:
+                    rest = _loads("{" + line[len(lead) - 1:])
+                except (ValueError, RecursionError):
+                    pass
+            if rest is not None:
+                record = {key: value, **rest}
+            else:
+                try:
+                    record = _loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"{fh.name}:{lineno}: malformed JSON line: {exc}") from None
+            yield record
+    except UnicodeDecodeError as exc:
+        # a text file decodes its next chunk of bytes only once every line
+        # before it is read, so count the chunk's newlines before the bad byte
+        bad = lineno + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise ValueError(f"{fh.name}:{bad}: not UTF-8: {exc.reason}") from None
 
 
 def read_jsonl(path) -> list[dict]:

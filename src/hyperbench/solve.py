@@ -150,7 +150,10 @@ def solve_ism(a: Hypergraph, b: Hypergraph) -> bool:
 
     Pruning uses (degree, sorted incident-order multiset) vertex signatures
     and pairwise co-occurrence compatibility; a final multiset comparison of
-    the mapped hyperedges decides, so pruning only needs to be sound.
+    the mapped hyperedges decides, so pruning only needs to be sound.  Each
+    vertex placed next co-occurs with as many placed ones as it can, so the
+    pairwise check prunes from the first levels even where every signature
+    ties (regular graphs).
     """
     if a.n != b.n or a.num_edges != b.num_edges:
         return False
@@ -163,7 +166,17 @@ def solve_ism(a: Hypergraph, b: Hypergraph) -> bool:
     candidates = [
         tuple(u for u in range(b.n) if sig_b[u] == sig_a[v]) for v in range(a.n)
     ]
-    order = sorted(range(a.n), key=lambda v: (len(candidates[v]), v))
+    # connectivity order: next the vertex co-occurring with the most placed
+    # ones, then the one with fewer candidates, then the lower id
+    placed_nbrs = [0] * a.n
+    rest = set(range(a.n))
+    order = []
+    while rest:
+        v = min(rest, key=lambda u: (-placed_nbrs[u], len(candidates[u]), u))
+        rest.remove(v)
+        order.append(v)
+        for w in a.neighbors(v):
+            placed_nbrs[w] += 1
     pairco_a = _pair_cooccurrence(a)
     pairco_b = _pair_cooccurrence(b)
     target_edges = Counter(b.edges)

@@ -1,16 +1,13 @@
-"""Certificate verification and exhaustive search for the NP-hard tasks.
-
-Tasks covered: 3-coloring where every hyperedge must see at least two
-distinct colors (3-CL), strict hypercycles whose consecutive hyperedges
-share exactly one vertex (SHC), and Hamiltonian paths reported as the
-sequence of hyperedges witnessing each step (HHM).
+"""Certificate verification and exhaustive search for the NP-hard tasks:
+3-coloring where every hyperedge must see at least two distinct colors
+(3-CL), strict hypercycles whose consecutive hyperedges share exactly one
+vertex (SHC), and Hamiltonian paths reported as the sequence of hyperedges
+witnessing each step (HHM).  Each verifier runs in polynomial time.
 
 Conventions the verifiers enforce:
   * colorings are total maps vertex -> {c0, c1, c2};
-  * hypercycles list distinct hyperedge ids, length >= 2 (a 2-cycle
-    degenerates to a single shared-vertex constraint and is accepted, so
-    :func:`find_shc` returns one and never searches a longer ring: every
-    ring's consecutive hyperedges already form a strict 2-cycle);
+  * hypercycles list distinct hyperedge ids, length >= 2 (a strict
+    2-cycle is accepted, so :func:`find_shc` never searches a longer ring);
   * a Hamiltonian path over n vertices has exactly n-1 steps and may
     reuse a hyperedge for several steps.
 """
@@ -62,14 +59,13 @@ def verify_shc(h: Hypergraph, seq) -> bool:
 
 def verify_hhm(h: Hypergraph, seq, s: int, t: int) -> bool:
     """True iff some vertex order v_0=s..v_{n-1}=t visits every vertex once
-    with step i contained in the i-th hyperedge of ``seq``.
-
-    The sequence must have exactly n-1 steps; repeating a hyperedge across
-    steps is allowed.  Three necessary checks come first: the first step's
-    edge holds s, the last step's holds t, and the steps' edges together
-    cover every vertex.  Failed (vertex, visited set) states are memoized (the
-    step index is the set's size), so the search visits at most n * 2^n
-    states whatever the sequence.
+    with step i contained in the i-th hyperedge of ``seq`` (exactly n-1 steps;
+    a hyperedge may serve several).  Step k holds v_k and v_{k+1}, so position
+    0 may hold s if the first step's edge does, position n-1 t if the last's
+    does, and position k any other vertex in the edges of steps k-1 and k: a
+    path is a one-to-one matching of positions onto vertices.  Each position
+    takes a free vertex, or else a breadth-first augmenting path frees one:
+    O(n * p) time for p allowed (position, vertex) pairs, with no recursion.
     """
     h.check_endpoints(s, t, "path endpoints")
     ids = list(seq)
@@ -77,29 +73,35 @@ def verify_hhm(h: Hypergraph, seq, s: int, t: int) -> bool:
         h.check_edge(j)
     if len(ids) != h.n - 1:
         return False
-    edges = h.edges
-    if s not in edges[ids[0]] or t not in edges[ids[-1]]:
-        return False
-    if len(set().union(*(edges[j] for j in set(ids)))) < h.n:
-        return False
-    full = (1 << h.n) - 1
-    failed: set[tuple[int, int]] = set()  # (vertex, visited mask) states that cannot finish
-
-    def step(cur: int, mask: int) -> bool:
-        if mask == full:
-            return cur == t
-        if (cur, mask) in failed:
-            return False
-        members = edges[ids[mask.bit_count() - 1]]
-        if cur in members:
-            for nxt in members:
-                bit = 1 << nxt
-                if not mask & bit and step(nxt, mask | bit):
-                    return True
-        failed.add((cur, mask))
-        return False
-
-    return step(s, 1 << s)
+    members = {j: set(h.edges[j]) for j in ids}  # one set per distinct edge
+    steps = [members[j] for j in ids]
+    ends = {s, t}
+    allowed = [steps[0] & {s}, *((a & b) - ends for a, b in zip(steps, steps[1:])), steps[-1] & {t}]
+    holder: dict[int, int] = {}  # vertex -> the position matched to it
+    for root, vs in enumerate(allowed):
+        for v in vs:
+            if v not in holder:
+                holder[v] = root
+                break
+        else:  # every vertex root may hold is taken: search for an augmenting path
+            came = {root: (None, None)}  # position -> the position that reached it, through its vertex
+            queue = [root]
+            for k in queue:
+                for v in allowed[k]:
+                    if v not in holder:
+                        break
+                    if (q := holder[v]) not in came:
+                        came[q] = k, v
+                        queue.append(q)
+                else:
+                    continue
+                break  # k reaches the free vertex v
+            else:
+                return False
+            while k is not None:  # back along the path, each position takes the vertex it reached through
+                holder[v] = k
+                k, v = came[k]
+    return True
 
 
 def find_3cl(h: Hypergraph):
@@ -201,9 +203,7 @@ def find_hhm(h: Hypergraph, s: int, t: int):
         failed.add((cur, mask))
         return False
 
-    if dfs(s, 1 << s):
-        return tuple(steps)
-    return None
+    return tuple(steps) if dfs(s, 1 << s) else None
 
 
 def find_hhm_any(h: Hypergraph):

@@ -256,6 +256,9 @@ def test_solve_on_a_graph_deeper_than_the_recursion_limit_is_a_usage_error(tmp_p
     assert captured.err == f"error: graph too deep for the {args[1]} search: 1500 vertices\n"
 
 
+A_DIRECTORY = object()  # a pool that is a directory, not a file
+
+
 @pytest.mark.parametrize("cmd", ["emit", "generate"])
 @pytest.mark.parametrize(
     "name, text, message",
@@ -263,17 +266,41 @@ def test_solve_on_a_graph_deeper_than_the_recursion_limit_is_a_usage_error(tmp_p
         pytest.param("nope.json", None, "pool file not found", id="missing"),
         pytest.param("pool.json", '{"n": 3, "edges": ', "bad pool file", id="malformed-json"),
         pytest.param("pool.hgr", "1 3 1\n2 1 3\n", "fmt", id="weighted-hmetis"),
+        pytest.param("pool.json", A_DIRECTORY, "cannot read pool file {}: Is a directory", id="directory"),
     ],
 )
 def test_bad_pool_file_is_usage_error(tmp_path, capsys, cmd, name, text, message):
     pool = tmp_path / name
-    if text is not None:
+    if text is A_DIRECTORY:
+        pool.mkdir()
+    elif text is not None:
         pool.write_text(text, encoding="utf-8")
     args = ["--per-task", "1", "--dry-run"] if cmd == "emit" else ["--source", "real"]
     assert main([cmd, "--seed", "1", "--pool", str(pool), "--out", str(tmp_path / "out"), *args]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message.format(pool) in err
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["render", "--format", "N-Set", "--graph", "{dir}", "--out", "{out}"], id="render"),
+        pytest.param(["render", "--format", "Cli-Exp", "--graph", "{h}", "--graph-b", "{dir}", "--out", "{out}"],
+                     id="render-graph-b"),
+        pytest.param(["solve", "--task", "vc", "--graph", "{dir}"], id="solve"),
+        pytest.param(["verify", "--task", "shc", "--graph", "{dir}", "--cert", "Cycle:[e0, e2]"], id="verify"),
+    ],
+)
+def test_a_directory_as_the_graph_is_usage_error(tmp_path, hstar_file, capsys, args):
+    graph, out = tmp_path / "graph.json", tmp_path / "out.txt"
+    graph.mkdir()
+    assert main([a.format(dir=graph, h=hstar_file, out=out) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read graph file {graph}: Is a directory\n"
+    assert not out.exists()
 
 
 DEEP_JSON = "[" * 200_000 + "]" * 200_000  # nested deeper than json can decode
@@ -699,6 +726,52 @@ def test_grade_missing_responses(tmp_path, vc_manifest, capsys, cmd):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: responses not found: {missing}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+@pytest.mark.parametrize("what", ["manifest", "responses"])
+def test_a_directory_as_a_grading_input_is_usage_error(tmp_path, vc_manifest, capsys, cmd, what):
+    manifest, rows = vc_manifest
+    responses = tmp_path / "resp.jsonl"
+    responses.write_text(json.dumps({"sample_id": rows[0]["sample_id"], "response": "Ans: 1"}) + "\n", encoding="utf-8")
+    inputs = {"manifest": manifest, "responses": responses, what: tmp_path / "adir"}
+    inputs[what].mkdir()
+    out = tmp_path / "out"
+    assert main([cmd, "--manifest", str(inputs["manifest"]), "--responses", str(inputs["responses"]),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {what} {inputs[what]}: Is a directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["grade", "prm"])
+@pytest.mark.parametrize(
+    "what, good_lines, lineno",
+    [
+        pytest.param("manifest", 0, 1, id="manifest-first-line"),
+        pytest.param("manifest", 35, 36, id="manifest-after-the-first-read"),
+        pytest.param("responses", 0, 1, id="responses-first-line"),
+        pytest.param("responses", 2, 3, id="responses-third-line"),
+    ],
+)
+def test_a_file_that_is_not_utf8_is_named_with_its_line(tmp_path, vc_manifest, capsys, cmd, what, good_lines, lineno):
+    manifest, rows = vc_manifest
+    lines = [json.dumps({"sample_id": r["sample_id"], "response": "Ans: 1"}) for r in rows]
+    responses = tmp_path / "resp.jsonl"
+    responses.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    bad = manifest if what == "manifest" else responses
+    text = bad.read_bytes()
+    head = b"".join(text.splitlines(keepends=True)[:good_lines])
+    bad.write_bytes(head + b"\xff\xfe" + text[len(head):])
+    if good_lines == len(rows):  # the bad byte lies past the text reader's first 8 KiB chunk
+        assert len(head) > 8192
+    out = tmp_path / "out"
+    assert main([cmd, "--manifest", str(manifest), "--responses", str(responses), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}:{lineno}: not UTF-8: invalid start byte\n"
     assert not out.exists()
 
 

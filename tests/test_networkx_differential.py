@@ -4,6 +4,7 @@ medium and large graphs, demo-pool subsamples, and disjoint unions of two
 graphs for the unreachable cases."""
 
 import random
+import time
 
 import pytest
 
@@ -139,3 +140,17 @@ def test_ism_matches_networkx_on_the_incidence_graphs(pair):
 @pytest.mark.parametrize("a, b", list(_switched_pairs()))
 def test_ism_matches_networkx_on_degree_preserving_switches(a, b):
     assert solve_ism(a, b) == _networkx_isomorphic(a, b)
+
+
+def test_ism_on_random_3_regular_pairs_is_fast():
+    # every vertex signature ties, so only the order of placement lets the
+    # pairwise check prune early: in id order the worst pair took seconds
+    start = time.perf_counter()
+    for s in range(5):
+        ga, gb = nx.random_regular_graph(3, 20, seed=s), nx.random_regular_graph(3, 20, seed=100 + s)
+        a = Hypergraph(20, [tuple(e) for e in ga.edges])
+        b = Hypergraph(20, [tuple(e) for e in gb.edges])
+        assert solve_ism(a, b) == nx.is_isomorphic(ga, gb)
+        rng = random.Random(s)
+        assert solve_ism(a, relabel(a, rng.sample(range(20), 20), rng))
+    assert time.perf_counter() - start < 0.5

@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 import time
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbench import Hypergraph, find_hhm, save_json, verify, verify_shc
+from hyperbench.core import to_json_dict
 from hyperbench.bench import make_meta
 from hyperbench.cli import main
 from hyperbench.generate import (
@@ -28,6 +31,8 @@ from hyperbench.verify import (
     verify_3cl,
     verify_hhm,
 )
+
+from conftest import manifest_rows
 
 
 def test_verify_3cl(hstar):
@@ -274,6 +279,116 @@ def test_verify_hhm_rejects_an_unreachable_end_without_searching():
     gap = Hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert not verify_hhm(gap, [0, 0, 3], 0, 3)  # no step's edge holds v2
     assert verify_hhm(gap, [0, 1, 2], 0, 3)
+
+
+def _memo_verify_hhm(h, seq, s, t):
+    """verify_hhm as an exponential search: three necessary checks, then a
+    depth-first walk memoizing failed (vertex, visited set) states."""
+    h.check_endpoints(s, t, "path endpoints")
+    ids = list(seq)
+    for j in ids:
+        h.check_edge(j)
+    if len(ids) != h.n - 1:
+        return False
+    edges = h.edges
+    if s not in edges[ids[0]] or t not in edges[ids[-1]]:
+        return False
+    if len(set().union(*(edges[j] for j in set(ids)))) < h.n:
+        return False
+    full = (1 << h.n) - 1
+    failed = set()
+
+    def step(cur, mask):
+        if mask == full:
+            return cur == t
+        if (cur, mask) in failed:
+            return False
+        members = edges[ids[mask.bit_count() - 1]]
+        if cur in members:
+            for nxt in members:
+                bit = 1 << nxt
+                if not mask & bit and step(nxt, mask | bit):
+                    return True
+        failed.add((cur, mask))
+        return False
+
+    return step(s, 1 << s)
+
+
+def _random_hhm_case(rng):
+    """A hypergraph of 2-9 vertices, half the time around a planted path, a
+    step sequence (the planted steps with a few replaced, or random ids, now
+    and then of a wrong length) and endpoints (the path's ends, or random)."""
+    n = rng.randint(2, 9)
+    order = rng.sample(range(n), n)
+    planted = rng.random() < 0.5
+    edges = [{order[k], order[k + 1], *rng.sample(range(n), rng.randint(0, 2))} for k in range(n - 1)] if planted else []
+    edges += [set(rng.sample(range(n), rng.randint(2, n))) for _ in range(rng.randint(1, 4))]
+    h = Hypergraph(n, [tuple(e) for e in edges])
+    if planted:
+        seq = list(range(n - 1))
+        for _ in range(rng.randint(0, 2)):
+            seq[rng.randrange(n - 1)] = rng.randrange(h.num_edges)
+    else:
+        seq = [rng.randrange(h.num_edges) for _ in range(n - 1)]
+    if rng.random() < 0.1:
+        seq = seq[: rng.randrange(n - 1)] if rng.random() < 0.5 else seq + [0]
+    s, t = (order[0], order[-1]) if planted and rng.random() < 0.7 else rng.sample(range(n), 2)
+    return h, seq, s, t
+
+
+def test_verify_hhm_matches_the_exponential_search_on_random_cases():
+    rng = random.Random(0x4848)
+    verdicts = []
+    for _ in range(6000):
+        h, seq, s, t = _random_hhm_case(rng)
+        verdicts.append(verify_hhm(h, seq, s, t))
+        assert verdicts[-1] == _memo_verify_hhm(h, seq, s, t), (h, seq, s, t)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8  # both verdicts are well represented
+
+
+def test_verify_hhm_rejects_the_hostile_reply_at_once():
+    # the big edge's every order would be searched before the e1 step, which
+    # would have to start at v0, the vertex the path leaves at its first step
+    h = Hypergraph(20, [range(20), (0, 1)])
+    seq = [0] * 17 + [1, 0]
+    # the exponential search agrees, at a size where it finishes quickly
+    assert not _memo_verify_hhm(Hypergraph(12, [range(12), (0, 1)]), [0] * 9 + [1, 0], 0, 11)
+    start = time.perf_counter()
+    assert not verify_hhm(h, seq, 0, 19)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_verify_hhm_accepts_a_1500_vertex_single_edge_graph():
+    h = Hypergraph(1500, [range(1500)])
+    start = time.perf_counter()
+    assert verify_hhm(h, [0] * 1499, 0, 1499)
+    assert time.perf_counter() - start < 2.0
+    assert not verify_hhm(h, [0] * 1498, 0, 1499)
+
+
+CHAIN = Hypergraph(1500, [(i, i + 1) for i in range(1499)])  # deeper than the recursion limit
+
+
+def test_verify_cli_accepts_a_valid_path_deeper_than_the_recursion_limit(tmp_path, capsys):
+    graph = tmp_path / "chain.json"
+    save_json(CHAIN, graph)
+    cert = format_path(range(1499))
+    assert main(["verify", "--task", "hhm", "--graph", str(graph), "--cert", cert, "--s", "0", "--t", "1499"]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+    assert main(["verify", "--task", "hhm", "--graph", str(graph), "--cert", cert, "--s", "1499", "--t", "0"]) == 1
+    assert capsys.readouterr().out == "INVALID\n"
+
+
+def test_grade_accepts_a_valid_path_deeper_than_the_recursion_limit(tmp_path, capsys):
+    row = manifest_rows(make_meta("HHM", 0, "small", "synthetic", 3))[0]
+    cert = format_path(range(1499))
+    row["answer_spec"] = {**row["answer_spec"], "graph": to_json_dict(CHAIN), "params": {"s": 0, "t": 1499}, "value": cert}
+    manifest, responses = tmp_path / "manifest.jsonl", tmp_path / "responses.jsonl"
+    manifest.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    responses.write_text(json.dumps({"sample_id": row["sample_id"], "response": "Ans: " + cert}) + "\n", encoding="utf-8")
+    assert main(["grade", "--manifest", str(manifest), "--responses", str(responses), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["correct"] == 1
 
 
 def _plain_find_3cl(h):
