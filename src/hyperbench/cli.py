@@ -1,7 +1,8 @@
 """Command-line front end: generate | render | solve | verify | emit | grade | prm | selfcheck.
 
 Exit codes: 0 success, 1 graded failure (invalid certificate, failed
-selfcheck), 2 usage error, 130 interrupted (Ctrl-C).  All randomness flows
+selfcheck), 2 usage error, 130 interrupted (Ctrl-C), 141 standard output
+closed early (a pipe into ``head``, say).  All randomness flows
 from --seed; repeated invocations with the same flags produce identical
 bytes.  HYPERBENCH_OUT provides the default output directory.
 """
@@ -487,7 +488,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.cmd](args)
+        code = _COMMANDS[args.cmd](args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: as the Python docs advise, exit flushing into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports it
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -227,12 +227,9 @@ def check_certificate(kind: str, h, value, params: dict) -> tuple[bool, tuple[st
 
 
 def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
-    """Decide correctness of a parsed answer against a manifest row or an
-    index's answer record (see :func:`index_manifest`).
-
-    A certificate is checked against the record's ``graph``; a manifest row
-    has none, and its graph is built from its answer_spec.
-    """
+    """Decide correctness of a parsed answer against an index's answer record
+    (see :func:`index_manifest`); a certificate is checked against the
+    record's ``graph``, built once by the index."""
     spec = row["answer_spec"]
     kind = spec["kind"]
     if parsed.failed:
@@ -240,8 +237,7 @@ def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
     if parsed.kind != kind:
         return False, parsed.flags + ("kind_mismatch",)
     if kind in CERTIFICATE_KINDS:
-        h = row["graph"] if "graph" in row else from_json_dict(spec["graph"])
-        ok, extra = check_certificate(kind, h, parsed.value, spec["params"])
+        ok, extra = check_certificate(kind, row["graph"], parsed.value, spec["params"])
         return ok, parsed.flags + extra
     if kind == "vertex_set":
         return sorted(parsed.value) == sorted(spec["value"]), parsed.flags
@@ -388,18 +384,31 @@ class Grading:
     """One grading run against a manifest index (see :func:`index_manifest`).
 
     :meth:`grade` judges each response as it is read.  The run keeps no
-    per-sample state: a response's verdict is two bits in the masks of its
-    row's answer record, one that the row is graded and one that it was
-    right, at the row's rank.  :meth:`graded_rows` reads them back in
-    manifest order for :func:`tally_accuracy` and :func:`tally_prm`.
+    per-sample state: a verdict is two bits in the masks of its row's answer
+    record, one that the row is graded and one that it was right, at the
+    row's rank.  :meth:`graded_rows` reads them back in manifest order for
+    :func:`tally_accuracy` and :func:`tally_prm`.
     """
 
     def __init__(self, index: dict, options: GradeOptions = DEFAULT_OPTIONS):
         self.index = index
         self.options = options
-        self.graded = 0  # responses judged
+        self.graded = 0  # verdicts kept
         self.correct = 0  # of them, the right ones
         self._masks: dict[int, list[int]] = {}  # id of an answer record -> [graded, right] bit masks of its rows
+
+    def _keep(self, row: tuple, correct) -> bool:
+        """Keep the verdict of index row ``row``; False, keeping nothing, if
+        the row has one already."""
+        masks, bit = self._masks.setdefault(id(row[0]), [0, 0]), 1 << row[4]
+        if masks[0] & bit:
+            return False
+        masks[0] |= bit
+        self.graded += 1
+        if correct:
+            masks[1] |= bit
+            self.correct += 1
+        return True
 
     def grade(self, responses):
         """The :class:`GradeRecord` of each ``{"sample_id", "response"}``
@@ -423,24 +432,31 @@ class Grading:
                     raise ValueError(f"sample id {sid} has more than one response (response {n})")
                 unknown[sid] = None
                 continue
-            answer, bit = row[0], 1 << row[4]
-            masks = self._masks.get(id(answer))
-            if masks is None:
-                masks = self._masks[id(answer)] = [0, 0]
-            if masks[0] & bit:
+            if unknown:  # once an id is unknown the run fails: judge no further, only look for repeats
+                correct = parsed = None
+            else:
+                parsed = parse_answer(row[0]["task"], text, self.options)
+                correct, flags = judge(row[0], parsed)
+            if not self._keep(row, correct):
                 raise ValueError(f"sample id {sid} has more than one response (response {n})")
-            masks[0] |= bit
-            if unknown:  # once an id is unknown the run fails; grade no further
-                continue
-            parsed = parse_answer(answer["task"], text, self.options)
-            correct, flags = judge(answer, parsed)
-            self.graded += 1
-            if correct:
-                masks[1] |= bit
-                self.correct += 1
-            yield GradeRecord(sid, parsed, correct, flags)
+            if parsed is not None:
+                yield GradeRecord(sid, parsed, correct, flags)
         if unknown:
             raise ValueError(f"responses reference unknown sample ids: {list(unknown)[:10]}")
+
+    def _take(self, records):
+        """Keep the verdict of each :class:`GradeRecord`, then :meth:`graded_rows`.
+        ValueError on a repeated record, and on unknown ids once the records end."""
+        unknown = []
+        for rec in records:
+            row = self.index.get(rec.sample_id)
+            if row is None:
+                unknown.append(rec.sample_id)
+            elif not self._keep(row, rec.correct):
+                raise ValueError(f"sample id {rec.sample_id} has more than one record")
+        if unknown:
+            raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
+        return self.graded_rows()
 
     def graded_rows(self):
         """``(row, correct)`` for each graded row of the index, in manifest
@@ -461,30 +477,6 @@ def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OP
     as is a manifest row that :func:`index_manifest` rejects.
     """
     return list(Grading(index_manifest(manifest_rows), options).grade(responses))
-
-
-def _graded_rows(records, manifest_rows):
-    """``(row, correct)`` for each record, in the manifest order of its sample
-    id, each row in the shape of an index row (it stands for its own answer
-    record); a repeated record counts once per copy.  ValueError on a
-    repeated manifest id as it is read, and then on a record whose sample id
-    the manifest lacks."""
-    verdicts: dict[str, list] = {}
-    for rec in records:
-        verdicts.setdefault(rec.sample_id, []).append(rec.correct)
-    seen = set()
-    for row in manifest_rows:
-        sid = row["sample_id"]
-        if sid in seen:
-            raise ValueError(f"manifest sample id {sid} appears more than once")
-        seen.add(sid)
-        if sid in verdicts:
-            shaped = (row, row["text_format"], row["visual_format"], row.get("prompt"))
-            for correct in verdicts.pop(sid):
-                yield shaped, correct
-    if verdicts:
-        unknown = [rec.sample_id for rec in records if rec.sample_id in verdicts]
-        raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
 
 
 @dataclass
@@ -530,12 +522,14 @@ def tally_accuracy(graded_rows) -> AccuracyTable:
 
 
 def aggregate(records, manifest_rows) -> AccuracyTable:
-    """Accuracy per task and per representation axis, plus Avg.U / Avg.R.
+    """Accuracy per task and per representation axis, plus Avg.U / Avg.R, of
+    one :class:`GradeRecord` per graded sample id, against manifest rows that
+    :func:`index_manifest` accepts.
 
     Each axis marginalizes over the other (a text format's cell averages all
     its graded samples across the five visual formats, and vice versa).
     """
-    return tally_accuracy(_graded_rows(records, manifest_rows))
+    return tally_accuracy(Grading(index_manifest(manifest_rows, prompts=False))._take(records))
 
 
 @dataclass(frozen=True, slots=True)
@@ -591,11 +585,11 @@ def tally_prm(graded_rows) -> tuple[Iterator[PRMPair], list[str]]:
 def build_prm(records, manifest_rows) -> tuple[list[PRMPair], list[str]]:
     """Per meta, the combo(s) with the highest mean accuracy (ties all kept),
     and the ids of the metas skipped, in manifest order, because they lack
-    graded records for some of the 35 combos.  The router input is the
-    HO-Neigh prompt (rendering + question) of the meta's first graded
-    HO-Neigh row.
+    graded records for some of the 35 combos; the records and rows are
+    checked as by :func:`aggregate`.  The router input is the HO-Neigh
+    prompt (rendering + question) of the meta's first graded HO-Neigh row.
     """
-    pairs, skipped = tally_prm(_graded_rows(records, manifest_rows))
+    pairs, skipped = tally_prm(Grading(index_manifest(manifest_rows))._take(records))
     return list(pairs), skipped
 
 
@@ -695,14 +689,6 @@ def grade_line_encoder():
                               _value_json(rec.parsed.value), json_str(rec.sample_id))
 
     return line
-
-
-def write_grades(records, path) -> None:
-    """One line per record (see :func:`grade_line_encoder`)."""
-    line = grade_line_encoder()
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(line(rec))
 
 
 # a prm.jsonl line: the fields of a pair in sorted key order

@@ -5,6 +5,7 @@ import pytest
 
 from hyperbench import Hypergraph
 from hyperbench.bench import sample_rows
+from hyperbench.grade import grade_line_encoder
 
 
 @pytest.fixture
@@ -28,3 +29,12 @@ def make_random():
 def manifest_rows(meta) -> list[dict]:
     """The meta's 35 manifest rows, decoded from the lines ``sample_rows`` writes."""
     return [json.loads(line) for line in sample_rows(meta).splitlines()]
+
+
+def write_grades(records, path) -> None:
+    """One grades.jsonl line per record, as ``grade`` writes it through
+    ``grade_line_encoder``."""
+    line = grade_line_encoder()
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(line(rec))

@@ -412,13 +412,16 @@ def _fixture_rows(meta_id: str) -> list[dict]:
 
 
 def _records(rows, accuracy, repeats=4):
-    out = []
+    """``repeats`` copies of each row, with distinct sample ids, and a record
+    for each: the first ``round(acc * repeats)`` of a combo's copies right."""
+    out, copies = [], []
     for row in rows:
         acc = accuracy[(row["text_format"], row["visual_format"])]
         hits = round(acc * repeats)
         for r in range(repeats):
-            out.append(GradeRecord(row["sample_id"], ParsedAnswer("count", 1), r < hits, ()))
-    return out
+            copies.append({**row, "sample_id": f"{row['sample_id']}#{r}"})
+            out.append(GradeRecord(copies[-1]["sample_id"], ParsedAnswer("count", 1), r < hits, ()))
+    return out, copies
 
 
 def test_criterion_8_prm_construction():
@@ -433,8 +436,11 @@ def test_criterion_8_prm_construction():
     acc_b[("Adj-Mat", "Bi-Inc")] = 1.0  # two-way tie
     acc_b[("Inc-Mat", "St-Inc")] = 1.0
     acc_c = {combo: 0.0 for combo in ALL_COMBOS}  # degenerate: everything loses
-    rows = rows_a + rows_b + rows_c
-    records = _records(rows_a, acc_a) + _records(rows_b, acc_b) + _records(rows_c, acc_c)
+    records, rows = [], []
+    for meta_rows, accuracy in ((rows_a, acc_a), (rows_b, acc_b), (rows_c, acc_c)):
+        graded, copies = _records(meta_rows, accuracy)  # four samples a combo
+        records += graded
+        rows += copies
     pairs, skipped = build_prm(records, rows)
     assert skipped == []
 

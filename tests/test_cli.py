@@ -841,6 +841,23 @@ def test_sigint_to_a_parallel_emit_is_one_line_and_exit_130(tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["generate", "render"])
+def test_a_closed_stdout_is_exit_141_with_nothing_on_stderr(tmp_path, hstar, command):
+    """A reader that is gone before the first line, as ``| head -1`` is soon
+    after it: no BrokenPipeError traceback, and 128 + SIGPIPE."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    if command == "generate":
+        args = ["generate", "--seed", "1", "--count", "3", "--out", str(tmp_path / "out")]
+    else:
+        save_json(hstar, tmp_path / "h.json")
+        args = ["render", "--graph", str(tmp_path / "h.json"), "--format", "LO-Inc", "--out", "-"]
+    proc = subprocess.Popen([sys.executable, "-m", "hyperbench.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), stderr) == (141, b"")
+
+
 def test_grade_outputs_do_not_depend_on_response_order(tmp_path, vc_manifest):
     manifest, rows = vc_manifest
     lines = [

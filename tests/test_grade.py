@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import time
@@ -19,12 +20,11 @@ from hyperbench.grade import (
     corrupted_answer_text,
     judge,
     parse_answer,
-    write_grades,
     write_prm,
 )
 from hyperbench.text_repr import TEXT_FORMATS
 
-from conftest import manifest_rows
+from conftest import manifest_rows, write_grades
 
 STRICT = GradeOptions(lenient=False)
 
@@ -286,21 +286,27 @@ def _row(task, kind, value, graph=None, params=None, **extra):
     return row
 
 
+def _answer(row):
+    """The answer record that the index keeps for ``row``, which judge takes."""
+    ((answer, *_),) = grade.index_manifest([row]).values()
+    return answer
+
+
 def test_judge_count():
-    row = _row("VC", "count", 7)
+    row = _answer(_row("VC", "count", 7))
     assert judge(row, parse_answer("VC", "Ans: 7"))[0]
     assert not judge(row, parse_answer("VC", "Ans: 8"))[0]
     assert not judge(row, parse_answer("VC", "Ans: nothing"))[0]
 
 
 def test_judge_vertex_set_order_free():
-    row = _row("Ne", "vertex_set", [1, 4])
+    row = _answer(_row("Ne", "vertex_set", [1, 4]))
     assert judge(row, parse_answer("Ne", "Ans: {v4,v1}"))[0]
     assert not judge(row, parse_answer("Ne", "Ans: {v4}"))[0]
 
 
 def test_judge_accepts_any_valid_certificate(hstar):
-    row = _row("3-CL", "coloring", "Coloring:[v0:c0, v1:c1, v2:c2, v3:c0, v4:c1]", graph=hstar)
+    row = _answer(_row("3-CL", "coloring", "Coloring:[v0:c0, v1:c1, v2:c2, v3:c0, v4:c1]", graph=hstar))
     # a different valid coloring still counts
     ok, _ = judge(row, parse_answer("3-CL", "Ans: Coloring:[v0:c1, v1:c2, v2:c0, v3:c1, v4:c2]"))
     assert ok
@@ -312,7 +318,7 @@ def test_judge_accepts_any_valid_certificate(hstar):
 
 
 def test_judge_shc_flags_two_cycle(hstar):
-    row = _row("SHC", "cycle", "Cycle:[e0, e2]", graph=hstar)
+    row = _answer(_row("SHC", "cycle", "Cycle:[e0, e2]", graph=hstar))
     ok, flags = judge(row, parse_answer("SHC", "Ans: Cycle:[e0, e2]"))
     assert ok
     assert "shc_k2" in flags
@@ -322,7 +328,7 @@ def test_judge_shc_flags_two_cycle(hstar):
 
 
 def test_judge_hhm(hstar):
-    row = _row("HHM", "path", "Path:[e0, e0, e1, e2]", graph=hstar, params={"s": 0, "t": 4})
+    row = _answer(_row("HHM", "path", "Path:[e0, e0, e1, e2]", graph=hstar, params={"s": 0, "t": 4}))
     assert judge(row, parse_answer("HHM", "Ans: Path:[e0, e0, e1, e2]"))[0]
     assert not judge(row, parse_answer("HHM", "Ans: Path:[e0, e1, e2]"))[0]
 
@@ -398,7 +404,7 @@ def test_judge_agrees_with_the_certificate_definitions(task, scale, source, seed
         reply = ("Cycle:[" if kind == "cycle" else "Path:[") + ", ".join(f"e{j}" for j in value) + "]"
         in_range = all(j < len(h.edges) for j in value)
         holds = in_range and (_cycle_holds(h, value) if kind == "cycle" else _path_holds(h, value, **params))
-    row = _row(task, kind, text, graph=h, params=params)
+    row = _answer(_row(task, kind, text, graph=h, params=params))
     parsed = parse_answer(task, "Ans: " + reply)
     start = time.perf_counter()
     ok, flags = judge(row, parsed)
@@ -484,31 +490,58 @@ def test_aggregate_and_prm_reject_repeated_manifest_id():
     records = [GradeRecord(r["sample_id"], ParsedAnswer("count", 3), True, ()) for r in rows]
     repeated = rows + [{**rows[0], "answer_spec": {**rows[0]["answer_spec"], "value": 999}}]
     for build in (aggregate, build_prm):
-        with pytest.raises(ValueError, match=f"manifest sample id {rows[0]['sample_id']} appears more than once"):
+        with pytest.raises(ValueError, match=f"manifest row 36 \\({rows[0]['sample_id']}\\) repeats the sample id of an earlier row"):
             build(records, repeated)
 
 
-# -- PRM -------------------------------------------------------------------
+# a broken field of a meta's first HO-Neigh row (None: the key left out), or
+# None for that row's record given twice -> the error naming the row or id
+_REJECTED = {
+    "unknown text_format": ({"text_format": "bogus"}, "manifest row {n} ({sid}) has unknown text_format 'bogus'"),
+    "no meta_id": ({"meta_id": None}, "manifest row {n} ({sid}) lacks meta_id"),
+    "HO-Neigh prompt not a string": ({"prompt": 5}, "manifest row {n} ({sid}) has no string prompt"),
+    "repeated record": (None, "sample id {sid} has more than one record"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_aggregate_and_prm_name_the_row_or_id_they_reject(case):
+    rows = _combo_rows("VC-0000")
+    records = [GradeRecord(r["sample_id"], ParsedAnswer("count", 3), True, ()) for r in rows]
+    i = next(i for i, row in enumerate(rows) if row["text_format"] == "HO-Neigh")
+    broken, message = _REJECTED[case]
+    if broken is None:
+        records.append(records[i])
+    else:
+        rows[i] = {key: value for key, value in {**rows[i], **broken}.items() if value is not None}
+    message = message.format(n=i + 1, sid=records[i].sample_id)
+    for build in (aggregate, build_prm):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(records, rows)
 
 
 def _records_with_accuracy(rows, accuracy_by_combo, repeats=2):
-    records = []
+    """Records and the manifest rows they grade: ``repeats`` copies of each
+    row, with distinct sample ids, the first ``round(acc * repeats)`` of a
+    combo's copies right."""
+    records, copies = [], []
     for row in rows:
         combo = (row["text_format"], row["visual_format"])
         acc = accuracy_by_combo[combo]
         hits = round(acc * repeats)
         for r in range(repeats):
+            copies.append({**row, "sample_id": f"{row['sample_id']}#{r}"})
             records.append(
-                GradeRecord(row["sample_id"], ParsedAnswer("count", 3), r < hits, ())
+                GradeRecord(copies[-1]["sample_id"], ParsedAnswer("count", 3), r < hits, ())
             )
-    return records
+    return records, copies
 
 
 def test_build_prm_unique_winner():
     rows = _combo_rows("VC-0000")
     acc = {combo: 0.5 for combo in ALL_COMBOS}
     acc[("N-Set", "Cli-Exp")] = 1.0
-    pairs, _ = build_prm(_records_with_accuracy(rows, acc), rows)
+    pairs, _ = build_prm(*_records_with_accuracy(rows, acc))
     assert len(pairs) == 1
     assert pairs[0].label_combo == "N-Set+Cli-Exp"
     assert pairs[0].meta_id == "VC-0000"
@@ -521,14 +554,14 @@ def test_build_prm_tie_keeps_all():
     acc = {combo: 0.0 for combo in ALL_COMBOS}
     acc[("N-Set", "Cli-Exp")] = 1.0
     acc[("Inc-Mat", "Bi-Inc")] = 1.0
-    pairs, _ = build_prm(_records_with_accuracy(rows, acc), rows)
+    pairs, _ = build_prm(*_records_with_accuracy(rows, acc))
     assert {p.label_combo for p in pairs} == {"N-Set+Cli-Exp", "Inc-Mat+Bi-Inc"}
 
 
 def test_build_prm_degenerate_tie_flagged():
     rows = _combo_rows("VC-0000")
     acc = {combo: 0.0 for combo in ALL_COMBOS}
-    pairs, _ = build_prm(_records_with_accuracy(rows, acc), rows)
+    pairs, _ = build_prm(*_records_with_accuracy(rows, acc))
     assert len(pairs) == 35
     assert all(p.degenerate_tie for p in pairs)
 
@@ -536,34 +569,37 @@ def test_build_prm_degenerate_tie_flagged():
 def test_build_prm_skips_partial_coverage():
     rows = _combo_rows("VC-0000") + _combo_rows("VC-0001")
     acc = {combo: 1.0 for combo in ALL_COMBOS}
-    records = _records_with_accuracy(rows[:35], acc)  # only the first meta
+    records, graded = _records_with_accuracy(rows[:35], acc)  # only the first meta
     records.append(GradeRecord(rows[35]["sample_id"], ParsedAnswer("count", 3), True, ()))
-    pairs, skipped = build_prm(records, rows)
+    pairs, skipped = build_prm(records, graded + rows[35:])
     assert {p.meta_id for p in pairs} == {"VC-0000"}
     assert skipped == ["VC-0001"]
 
 
 # the per-sample-list aggregation that the per-cell tallies replaced, kept as
-# the reference they must agree with, errors and their order included
+# the reference they must agree with, errors and their order included: one
+# record per sample id, and one manifest row
 
 
 def _reference_graded_rows(records, manifest_rows):
-    hits = {}
-    for rec in records:
-        hits.setdefault(rec.sample_id, []).append(1 if rec.correct else 0)
-    graded = []
     seen = {}
-    for row in manifest_rows:
+    for n, row in enumerate(manifest_rows, 1):
         sid = row["sample_id"]
         if sid in seen:
-            raise ValueError(f"manifest sample id {sid} appears more than once")
+            raise ValueError(f"manifest row {n} ({sid}) repeats the sample id of an earlier row")
         seen[sid] = None
-        if sid in hits:
-            graded.append((row, hits[sid]))
-    if len(graded) < len(hits):
-        unknown = [rec.sample_id for rec in records if rec.sample_id not in seen]
+    hits = {}
+    unknown = []
+    for rec in records:
+        if rec.sample_id not in seen:
+            unknown.append(rec.sample_id)
+        elif rec.sample_id in hits:
+            raise ValueError(f"sample id {rec.sample_id} has more than one record")
+        else:
+            hits[rec.sample_id] = [1 if rec.correct else 0]
+    if unknown:
         raise ValueError(f"records reference unknown sample ids: {unknown[:10]}")
-    return graded
+    return [(row, hits[row["sample_id"]]) for row in manifest_rows if row["sample_id"] in hits]
 
 
 def _reference_aggregate(records, manifest_rows):
@@ -618,32 +654,44 @@ def _assert_tallies_match_reference(records, rows):
     assert _outcome(build_prm, records, rows) == _outcome(_reference_build_prm, records, rows)
 
 
+@functools.cache
+def _answer_spec(task):
+    """An answer_spec of ``task`` that the index accepts, from a generated meta."""
+    return manifest_rows(make_meta(task, 0, "small", "synthetic", 1))[0]["answer_spec"]
+
+
 def _varied_rows(meta_id, task):
-    """A meta's 35 rows, each HO-Neigh prompt naming its visual format too, so
-    that which one the PRM keeps shows."""
-    return [{**row, "task": task, "prompt": f"{row['prompt']},{row['visual_format']}"}
+    """A meta's 35 rows, with an answer_spec of ``task``, each HO-Neigh prompt
+    naming its visual format too, so that which one the PRM keeps shows."""
+    return [{**row, "task": task, "answer_spec": _answer_spec(task), "prompt": f"{row['prompt']},{row['visual_format']}"}
             for row in _combo_rows(meta_id)]
 
 
 @st.composite
 def _graded_manifests(draw):
-    """Rows of one to three metas and records for them: each row has zero to
-    three records, right or wrong, in a shuffled order; optionally records for
-    ids the manifest lacks and a repeated manifest row."""
+    """Rows of one to three metas, one to three rows (samples) of each combo,
+    and records for them: each row has a record or, rarely, none, right or
+    wrong, in a shuffled order; optionally records for ids the manifest
+    lacks, a repeated record and a repeated manifest row."""
     rows = []
     for i, task in enumerate(draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=3))):
-        rows += _varied_rows(f"{task}-{i:04d}", task)
+        samples = draw(st.integers(1, 3))
+        rows += [{**row, "sample_id": f"{row['sample_id']}#{k}", "prompt": f"{row['prompt']}#{k}"}
+                 for row in _varied_rows(f"{task}-{i:04d}", task) for k in range(samples)]
     # verdicts all right (every full meta a degenerate tie), mostly right
     # (ties among the best combos) or a coin toss
     verdicts = draw(st.sampled_from([st.just(True), st.sampled_from([True, True, True, False]), st.booleans()]))
-    records = []
-    for row in rows:
-        for _ in range(draw(st.integers(0, 3)) if draw(st.integers(0, 9)) == 0 else 1):
-            records.append(GradeRecord(row["sample_id"], ParsedAnswer("count", 3), draw(verdicts), ()))
+    # one in 20 rows unanswered, and each kind of error in one case in 5 (a
+    # drawn integer would lean to its bounds)
+    unanswered, rarely = st.sampled_from([False] * 19 + [True]), st.sampled_from([False] * 4 + [True])
+    records = [GradeRecord(row["sample_id"], ParsedAnswer("count", 3), draw(verdicts), ())
+               for row in rows if not draw(unanswered)]
+    if records and draw(rarely):
+        records.append(records[draw(st.integers(0, len(records) - 1))])
     records += [GradeRecord(f"ghost-{j}", ParsedAnswer("count", 3), True, ())
-                for j in range(draw(st.integers(0, 12)) if draw(st.integers(0, 4)) == 0 else 0)]
+                for j in range(draw(st.integers(1, 12)) if draw(rarely) else 0)]
     records = draw(st.permutations(records))
-    if rows and draw(st.integers(0, 4)) == 0:
+    if draw(rarely):
         rows.insert(draw(st.integers(1, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
     return records, rows
 
@@ -658,33 +706,37 @@ def test_aggregate_and_prm_match_the_per_sample_reference(case):
 def test_aggregate_and_prm_match_the_reference_on_fixed_cases():
     rows = _varied_rows("VC-0000", "VC") + _varied_rows("OSP-0001", "OSP")
     every = {combo: 0.5 for combo in ALL_COMBOS}
-    repeated = _records_with_accuracy(rows, every, repeats=2)  # each sample id twice, one right
+    halves, twice = _records_with_accuracy(rows, every, repeats=2)  # each combo two samples, one right
     cases = {
-        "repeated ids": repeated,
+        "two samples a combo": (halves, twice),
         "degenerate tie": _records_with_accuracy(rows, {combo: 1.0 for combo in ALL_COMBOS}, repeats=2),
-        "partial coverage": repeated[:-4],
+        "partial coverage": (halves[:-4], twice),
         "tie of two": _records_with_accuracy(rows, {**every, ("N-Set", "Cli-Exp"): 1.0, ("LO-Inc", "Enc-Hy"): 1.0}),
-        "unknown ids": [GradeRecord("nope", ParsedAnswer("count", 3), True, ()), *repeated, repeated[0]],
+        "unknown ids": ([GradeRecord("nope", ParsedAnswer("count", 3), True, ()), *halves], twice),
+        "repeated record": ([*halves, halves[0]], twice),
     }
-    for records in cases.values():
-        _assert_tallies_match_reference(records, rows)
-    pairs, skipped = build_prm(cases["degenerate tie"], rows)
+    for records, graded in cases.values():
+        _assert_tallies_match_reference(records, graded)
+    pairs, skipped = build_prm(*cases["degenerate tie"])
     assert len(pairs) == 70 and all(p.degenerate_tie for p in pairs) and not skipped
-    assert build_prm(cases["partial coverage"], rows)[1] == ["OSP-0001"]
-    unknown_and_repeated = rows + [rows[3]]
+    assert build_prm(*cases["partial coverage"])[1] == ["OSP-0001"]
+    unknown_and_repeated = twice + [twice[3]]
     for build in (aggregate, build_prm):
         # a repeated manifest id is named before the unknown record ids
-        with pytest.raises(ValueError, match=f"^manifest sample id {rows[3]['sample_id']} appears more than once$"):
-            build(cases["unknown ids"], unknown_and_repeated)
+        repeats = f"manifest row {len(twice) + 1} ({twice[3]['sample_id']}) repeats the sample id of an earlier row"
+        with pytest.raises(ValueError, match=f"^{re.escape(repeats)}$"):
+            build(cases["unknown ids"][0], unknown_and_repeated)
         with pytest.raises(ValueError, match=re.escape("records reference unknown sample ids: ['nope']")):
-            build(cases["unknown ids"], rows)
+            build(*cases["unknown ids"])
+        with pytest.raises(ValueError, match=f"^{re.escape(f'sample id {halves[0].sample_id} has more than one record')}$"):
+            build(*cases["repeated record"])
 
 
 def test_write_prm(tmp_path):
     rows = _combo_rows("VC-0000")
     acc = {combo: 0.5 for combo in ALL_COMBOS}
     acc[("Adj-Mat", "Sh-Inc")] = 1.0
-    pairs, _ = build_prm(_records_with_accuracy(rows, acc), rows)
+    pairs, _ = build_prm(*_records_with_accuracy(rows, acc))
     path = tmp_path / "prm.jsonl"
     write_prm(pairs, path)
     logged = [json.loads(line) for line in path.read_text().splitlines()]
@@ -715,8 +767,8 @@ def test_write_prm_matches_write_jsonl(tmp_path):
 
 
 def test_write_prm_rejects_a_pair_without_a_prompt(tmp_path):
-    # build_prm reads a row's prompt with .get, so a library caller's pair
-    # may hold None; it is not taken as a prompt already encoded
+    # a library caller may make a pair without a prompt; its None is not
+    # taken as a prompt already encoded
     path = tmp_path / "prm.jsonl"
     with pytest.raises(TypeError):
         write_prm([PRMPair("VC-0000", "N-Set", "Enc-Hy", None)], path)
@@ -812,16 +864,17 @@ def test_corrupted_empty_set():
     row = _row("Ne", "vertex_set", [])
     assert corrupted_answer_text(row) == "Ans: {v0}"
     single = _row("Ne", "vertex_set", [2])
-    assert not judge(single, parse_answer("Ne", corrupted_answer_text(single)))[0]
+    assert not judge(_answer(single), parse_answer("Ne", corrupted_answer_text(single)))[0]
 
 
 def test_corrupted_osp_none():
     row = _row("OSP", "path_weight", None)
-    assert not judge(row, parse_answer("OSP", corrupted_answer_text(row)))[0]
+    assert not judge(_answer(row), parse_answer("OSP", corrupted_answer_text(row)))[0]
 
 
 def test_kind_mismatch_is_flagged():
-    row = _row("VC", "flow", 3)  # the answer kind disagrees with the task's
+    # a record whose answer kind disagrees with the task's, which the index would reject
+    row = {"meta_id": "VC-0000", "task": "VC", "answer_spec": {"kind": "flow", "value": 3, "params": {}}}
     assert judge(row, parse_answer("VC", "Ans: 3")) == (False, ("kind_mismatch",))
 
 

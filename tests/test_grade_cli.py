@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from hyperbench import aggregate, build_prm, emit_corpus, grade_responses, read_jsonl
 from hyperbench.cli import main
-from hyperbench.grade import _ROW_KEYS, canonical_answer_text, corrupted_answer_text, write_grades, write_prm
+from hyperbench.grade import _ROW_KEYS, canonical_answer_text, corrupted_answer_text, write_prm
+
+from conftest import write_grades
 
 
 @pytest.fixture(scope="module")
