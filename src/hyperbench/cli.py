@@ -10,14 +10,13 @@ bytes.  HYPERBENCH_OUT provides the default output directory.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import shutil
 import sys
 import tempfile
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import generate as gen
@@ -249,41 +248,34 @@ def _open_rows(stack: ExitStack, path: str, what: str):
         raise UsageError(f"cannot read {what} {path}: {exc.strerror}")
 
 
-@contextmanager
-def _grading(args, each=None, prompts=True):
-    """A grading run of the responses against the manifest, both files
-    streamed, for the body of a ``with``: each response is judged as it is
-    read, and its record passed to ``each``.  The index keeps HO-Neigh
-    prompts only if ``prompts`` is true.  Says on stderr how many manifest
-    samples have no response.  The index lives to the end of the body, so it
-    is frozen out of the cyclic GC's passes until then (and unfrozen after,
-    as ``main`` may run in-process)."""
+def _grading(args, each=None, prompts=True) -> Grading:
+    """The finished grading run of the responses against the manifest, both
+    files streamed: each response is judged as it is read, and its record
+    passed to ``each``.  The index keeps HO-Neigh prompts only if ``prompts``
+    is true.  Says on stderr how many manifest samples have no response."""
     options = GradeOptions(lenient=not args.strict, marker=args.marker)
     with ExitStack() as stack:
         manifest = _open_rows(stack, args.manifest, "manifest")
         responses = _open_rows(stack, args.responses, "responses")
         try:
-            index = index_manifest(manifest, prompts=prompts)
-            gc.freeze()
-            stack.callback(gc.unfreeze)
-            run = Grading(index, options)
+            run = Grading(index_manifest(manifest, prompts=prompts), options)
             for record in run.grade(responses):
                 if each is not None:
                     each(record)
         except ValueError as exc:
             raise UsageError(str(exc))
-        unanswered = len(index) - run.graded
-        if unanswered:
-            print(f"{unanswered} manifest samples have no response", file=sys.stderr)
-        yield run
+    unanswered = len(run.index) - run.graded
+    if unanswered:
+        print(f"{unanswered} manifest samples have no response", file=sys.stderr)
+    return run
 
 
 def _cmd_grade(args) -> int:
     line = grade_line_encoder()
     # grades.jsonl, spilled to an anonymous file and copied out only once every response is judged
     with tempfile.TemporaryFile() as grades:
-        with _grading(args, lambda record: grades.write(line(record).encode()), prompts=False) as run:
-            table = tally_accuracy(run.graded_rows())
+        run = _grading(args, lambda record: grades.write(line(record).encode()), prompts=False)
+        table = tally_accuracy(run.graded_rows())
         outdir = _out_dir(args.out)
         grades.seek(0)
         with open(outdir / "grades.jsonl", "wb") as fh:
@@ -304,8 +296,7 @@ def _cmd_grade(args) -> int:
 
 
 def _cmd_prm(args) -> int:
-    with _grading(args) as run:
-        pairs, skipped = tally_prm(run.graded_rows())
+    pairs, skipped = tally_prm(_grading(args).graded_rows())
     if skipped:
         named = ", ".join(skipped[:_NAMED_METAS]) + (", ..." if len(skipped) > _NAMED_METAS else "")
         print(f"{len(skipped)} metas lack graded responses for some combos and were skipped: {named}",

@@ -119,9 +119,7 @@ def gen_random_connected(spec: GenSpec) -> Hypergraph:
             continue
         while len(edges) < emin:
             edges.append(_random_edge(rng, n, cap))
-        h = Hypergraph(n, edges)
-        if h.is_connected():
-            return h
+        return Hypergraph(n, edges)  # bridged to one component; padding only adds edges
     raise GenerationError(f"random generation failed for {spec}")
 
 
@@ -163,9 +161,7 @@ def gen_3cl_instance(spec: GenSpec) -> tuple[Hypergraph, tuple[int, ...]]:
             continue
         while len(edges) < emin:
             edges.append(repaired(_random_edge(rng, n, cap)))
-        h = Hypergraph(n, edges)
-        if h.is_connected():
-            return h, tuple(colors)
+        return Hypergraph(n, edges), tuple(colors)
     raise GenerationError(f"3-coloring generation failed for {spec}")
 
 

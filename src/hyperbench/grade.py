@@ -432,15 +432,11 @@ class Grading:
                     raise ValueError(f"sample id {sid} has more than one response (response {n})")
                 unknown[sid] = None
                 continue
-            if unknown:  # once an id is unknown the run fails: judge no further, only look for repeats
-                correct = parsed = None
-            else:
-                parsed = parse_answer(row[0]["task"], text, self.options)
-                correct, flags = judge(row[0], parsed)
+            parsed = parse_answer(row[0]["task"], text, self.options)
+            correct, flags = judge(row[0], parsed)
             if not self._keep(row, correct):
                 raise ValueError(f"sample id {sid} has more than one response (response {n})")
-            if parsed is not None:
-                yield GradeRecord(sid, parsed, correct, flags)
+            yield GradeRecord(sid, parsed, correct, flags)
         if unknown:
             raise ValueError(f"responses reference unknown sample ids: {list(unknown)[:10]}")
 

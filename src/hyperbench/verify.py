@@ -157,17 +157,6 @@ def find_shc(h: Hypergraph):
     return None
 
 
-def _pair_adjacency(h: Hypergraph):
-    """Clique-expansion neighbor sets and the smallest edge id per pair."""
-    nbr: list[set[int]] = [set() for _ in range(h.n)]
-    pair_edge: dict[tuple[int, int], int] = {}
-    for (a, b), ids in h.pair_edges().items():
-        nbr[a].add(b)
-        nbr[b].add(a)
-        pair_edge[a, b] = ids[0]
-    return nbr, pair_edge
-
-
 def find_hhm(h: Hypergraph, s: int, t: int):
     """A verifying step-edge sequence for a Hamiltonian path s..t, or None.
 
@@ -178,11 +167,10 @@ def find_hhm(h: Hypergraph, s: int, t: int):
     """
     h.check_endpoints(s, t, "path endpoints")
     n = h.n
-    nbr, pair_edge = _pair_adjacency(h)
-    moves = [
-        [(nxt, 1 << nxt, pair_edge[min(cur, nxt), max(cur, nxt)]) for nxt in sorted(nbr[cur])]
-        for cur in range(n)
-    ]
+    moves: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (neighbor, its bit, smallest shared edge)
+    for (a, b), ids in h.pair_edges().items():  # the pairs are sorted, so each list comes out ascending
+        moves[a].append((b, 1 << b, ids[0]))
+        moves[b].append((a, 1 << a, ids[0]))
     full = (1 << n) - 1
     last = full & ~(1 << t)  # t may only be entered as the final vertex
     failed: set[tuple[int, int]] = set()  # (vertex, visited mask) states that cannot reach t
@@ -214,8 +202,7 @@ def find_hhm_any(h: Hypergraph):
     """
     if h.n < 2 or not h.is_connected():
         return None
-    nbr, _ = _pair_adjacency(h)
-    leaves = [v for v in range(h.n) if len(nbr[v]) == 1]
+    leaves = [v for v in range(h.n) if len(h.neighbors(v)) == 1]
     if len(leaves) > 2:
         return None
     if len(leaves) == 2:

@@ -508,7 +508,6 @@ def _grade(tmp_path, manifest, lines, cmd="grade"):
 @pytest.mark.parametrize("cmd", ["grade", "prm"])
 @pytest.mark.parametrize("known", [True, False], ids=["graded", "unknown-id"])
 def test_grading_in_process_leaves_nothing_frozen(tmp_path, vc_manifest, capsys, cmd, known):
-    # the index is frozen out of the cyclic GC while a command runs, and only then
     manifest, rows = vc_manifest
     sid = rows[0]["sample_id"] if known else "nope"
     code, _ = _grade(tmp_path, manifest, [json.dumps({"sample_id": sid, "response": "Ans: 1"})], cmd)
@@ -558,6 +557,9 @@ def test_grade_bad_responses_are_usage_errors(tmp_path, vc_manifest, capsys, cmd
     "case, message",
     [
         ("unknown_last", "error: responses reference unknown sample ids: ['nope']\n"),
+        ("unknown_first", "error: responses reference unknown sample ids: ['nope']\n"),
+        ("unknown_twice", "error: sample id nope has more than one response (response 3)\n"),
+        ("known_repeated_after_unknown", "error: sample id {known} has more than one response (response 3)\n"),
         ("malformed_last", "resp.jsonl:36: malformed JSON line"),
         ("interrupt", "error: interrupted\n"),
     ],
@@ -571,8 +573,16 @@ def test_a_failure_after_lines_were_judged_leaves_no_output(tmp_path, vc_manifes
     spill.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(spill))
     lines = [json.dumps({"sample_id": r["sample_id"], "response": canonical_answer_text(r)}) for r in rows]
+    unknown = json.dumps({"sample_id": "nope", "response": "Ans: 1"})
+    message = message.format(known=rows[0]["sample_id"])
     if case == "unknown_last":
-        lines.append(json.dumps({"sample_id": "nope", "response": "Ans: 1"}))
+        lines.append(unknown)
+    elif case == "unknown_first":
+        lines.insert(0, unknown)
+    elif case == "unknown_twice":
+        lines[:0] = [unknown, lines[0], unknown]
+    elif case == "known_repeated_after_unknown":
+        lines[:0] = [unknown, lines[0]]
     elif case == "malformed_last":
         lines.append('{"sample_id": "nope", "response": ')
     else:

@@ -1,7 +1,8 @@
 """The exact solvers against networkx at the sizes the corpus uses (10-20
 vertices), where the brute-force oracles of ``solve`` cannot go: synthetic
 medium and large graphs, demo-pool subsamples, and disjoint unions of two
-graphs for the unreachable cases."""
+graphs for the unreachable cases.  The counting and neighbourhood tasks'
+answers against the incidence graph at every scale."""
 
 import random
 import time
@@ -9,7 +10,8 @@ import time
 import pytest
 
 from hyperbench import Hypergraph, solve_ism, solve_omf, solve_osp
-from hyperbench.generate import GenSpec, gen_generic, gen_ism_pair, relabel
+from hyperbench.bench import sample_params, task_spec
+from hyperbench.generate import SCALE_RANGES, SOURCES, GenSpec, gen_generic, gen_ism_pair, relabel
 
 nx = pytest.importorskip("networkx")
 
@@ -98,6 +100,38 @@ def _incidence_graph(h: Hypergraph):
         g.add_node(("e", j), side="edge")
         g.add_edges_from((("e", j), v) for v in members)
     return g
+
+
+def _side(g, side: str) -> list:
+    return [node for node, label in g.nodes(data="side") if label == side]
+
+
+def _reached(g, u: int, min_order: int = 0) -> list[int]:
+    """The vertex nodes two steps from ``u``, through hyperedge nodes of degree >= ``min_order``."""
+    return sorted({v for e in g[u] if g.degree(e) >= min_order for v in g[e]} - {u})
+
+
+# the answer of each counting and neighbourhood task, read off the incidence graph
+_INCIDENCE_ORACLES = {
+    "VC": lambda g, p: len(_side(g, "vertex")),
+    "HEC": lambda g, p: len(_side(g, "edge")),
+    "Ne": lambda g, p: _reached(g, p["u"]),
+    "DVC": lambda g, p: sum(g.degree(v) == p["d"] for v in _side(g, "vertex")),
+    "OEC": lambda g, p: sum(g.degree(e) == p["k"] for e in _side(g, "edge")),
+    "ONe": lambda g, p: _reached(g, p["u"], p["k"]),
+}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("scale", SCALE_RANGES)
+@pytest.mark.parametrize("task", _INCIDENCE_ORACLES)
+def test_counting_and_neighbourhood_answers_match_the_incidence_graph(task, scale, source):
+    rng = random.Random(f"{task}/{scale}/{source}")
+    for _ in range(CASES):
+        seed = rng.randrange(2**32)
+        h = _graph(scale, source, seed)
+        params = sample_params(h, task, seed)
+        assert task_spec(task).solve(h, params, None)["value"] == _INCIDENCE_ORACLES[task](_incidence_graph(h), params)
 
 
 def _ism_pairs():

@@ -21,7 +21,6 @@ from hyperbench.generate import (
 )
 from hyperbench.verify import (
     NUM_COLORS,
-    _pair_adjacency,
     find_3cl,
     find_hhm_any,
     find_shc,
@@ -149,7 +148,12 @@ def _plain_find_hhm(h, s, t):
     """find_hhm without the memo of failed states: ascending-neighbor DFS with
     a dead-end prune (an unvisited vertex left without a live neighbor)."""
     n = h.n
-    nbr, pair_edge = _pair_adjacency(h)
+    nbr = [set() for _ in range(n)]
+    pair_edge = {}
+    for (a, b), ids in h.pair_edges().items():
+        nbr[a].add(b)
+        nbr[b].add(a)
+        pair_edge[a, b] = min(ids)
     visited = [False] * n
     visited[s] = True
     steps = []
