@@ -8,11 +8,12 @@ a 1:1 synthetic:real source mix, and writes the SVGs and a JSONL manifest
 (keys sorted, no timestamps, byte-stable for a fixed seed).  One function
 makes, renders and encodes each chunk of ``_CHUNK`` metas, in ``jobs``
 worker processes or in this one; the parent appends the encoded lines in
-emission order.  A worker appends a chunk's lines to its own spool file, in
-a temporary directory inside the output directory, and returns only where
-they are (the file, an offset, each meta's length in bytes); the parent
-reads them from there, so no manifest byte is pickled through the pool's
-result pipe, and none waits in the parent's memory for its turn.
+emission order.  A worker writes a chunk's lines to a new file of the
+chunk's own, in a temporary spool directory inside the output directory,
+and returns only its path; the parent copies the file whole into the
+manifest and deletes it, so no manifest byte is pickled through the pool's
+result pipe, none waits in the parent's memory for its turn, and the spool
+holds only the chunks not yet copied.
 
 ``_certified`` builds each 3-CL, SHC and HHM meta: the task's constructor
 plants the certificate for a synthetic meta, and for a real one the task's
@@ -30,9 +31,9 @@ layouts, ISM pairs' included, are computed together in one
 overhead once, and its positions are those of laying each graph out alone.
 With ``jobs`` > 1 the pool's ordered ``map`` hands out every chunk at once
 and the workers run ahead of the parent without a bound: a chunk's result is
-only a location, so what waits behind a slow meta is bytes in the spool, not
-in the parent.  ``jobs`` = 1 runs the same chunks in order, so no output
-depends on ``jobs``.
+only a path, so what waits behind a slow meta is the files of the chunks
+made after it, not bytes in the parent.  ``jobs`` = 1 writes the same chunks
+in order straight into the manifest, so no output depends on ``jobs``.
 
 Only the SVGs need numpy.  ``VISUAL_FORMATS`` comes from ``core``, and
 ``visual_repr`` is imported inside ``render_meta_svg`` and ``_write_svgs``,
@@ -46,11 +47,12 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import signal
 from collections.abc import Callable
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import count
 from pathlib import Path
 
 from . import generate
@@ -443,51 +445,39 @@ def _write_svgs(metas: list[MetaProblem], images_dir: Path) -> None:
 
 
 _WORKER_CONTEXT = None  # a worker process's (master_seed, pool, images_dir), set once by _init_worker
-_SPOOL = None  # a worker process's spool file, opened once by _init_worker
 _CHUNK = 8  # metas made, laid out and encoded together, and sent to a worker at once
 
 
-def _init_worker(spool_dir, *context) -> None:
-    global _WORKER_CONTEXT, _SPOOL
+def _init_worker(*context) -> None:
+    global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
     # Ctrl-C reaches the whole process group; the parent alone handles it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _SPOOL = open(os.path.join(spool_dir, str(os.getpid())), "xb")
 
 
 def _chunks(assignments):
     return (assignments[start:start + _CHUNK] for start in range(0, len(assignments), _CHUNK))
 
 
-def _emit_chunk(assignments, context=None) -> list[bytes]:
+def _emit_chunk(assignments, out, context=None) -> None:
     """Make a chunk of metas, write their SVGs unless ``images_dir`` is None,
-    and return each meta's 35 manifest lines, encoded.  ``context`` is
-    ``(master_seed, pool, images_dir)``; in a worker process it defaults to
-    ``_WORKER_CONTEXT``."""
+    and write each meta's 35 manifest lines, encoded, to the binary file
+    ``out``.  ``context`` is ``(master_seed, pool, images_dir)``; in a worker
+    process it defaults to ``_WORKER_CONTEXT``."""
     master_seed, pool, images_dir = context or _WORKER_CONTEXT
     metas = [make_meta(*assignment, master_seed, pool) for assignment in assignments]
     if images_dir is not None:
         _write_svgs(metas, images_dir)
-    return [sample_rows(meta).encode() for meta in metas]
+    for meta in metas:
+        out.write(sample_rows(meta).encode())
 
 
-def _spool_chunk(assignments) -> tuple[str, int, list[int]]:
-    """``_emit_chunk`` in a worker process, its lines appended to the
-    worker's spool and flushed; returns where they are: the spool's path,
-    their offset in it and each meta's length in bytes."""
-    encoded = _emit_chunk(assignments)
-    offset = _SPOOL.tell()
-    _SPOOL.writelines(encoded)
-    _SPOOL.flush()
-    return _SPOOL.name, offset, [len(lines) for lines in encoded]
-
-
-def _read_spooled(path: str, offset: int, lengths: list[int]):
-    """Each meta's manifest bytes of a chunk that ``_spool_chunk`` spooled."""
-    with open(path, "rb") as spool:
-        spool.seek(offset)
-        for length in lengths:
-            yield spool.read(length)
+def _spool_chunk(path: str, assignments) -> str:
+    """``_emit_chunk`` in a worker process, into a new file at ``path``;
+    returns the path."""
+    with open(path, "xb") as out:
+        _emit_chunk(assignments, out)
+    return path
 
 
 def emit_corpus(
@@ -527,24 +517,28 @@ def emit_corpus(
                 from concurrent.futures import ProcessPoolExecutor  # imported only for a pooled emit
                 from tempfile import TemporaryDirectory
 
-                # the workers' spool files; entered before the pool, so that
-                # it is removed after the pool shuts down, however the emit ends
+                # the chunk files not yet copied; entered before the pool, so
+                # that it is removed after the pool shuts down, however the
+                # emit ends
                 spool_dir = stack.enter_context(TemporaryDirectory(dir=outdir, prefix=".manifest-spool-"))
-                ex = stack.enter_context(
-                    ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(spool_dir, *context))
-                )
+                ex = stack.enter_context(ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=context))
+                paths = (os.path.join(spool_dir, str(index)) for index in count())
                 # closed before the pool shuts down, which cancels the chunks
                 # not yet started, so that a failed or interrupted emit waits
                 # only for the chunks already running
-                spooled = stack.enter_context(closing(ex.map(_spool_chunk, _chunks(assignments))))
-                emitted = chain.from_iterable(_read_spooled(*where) for where in spooled)
-            else:
-                emitted = chain.from_iterable(map(_emit_chunk, _chunks(assignments), repeat(context)))
+                spooled = stack.enter_context(closing(ex.map(_spool_chunk, paths, _chunks(assignments))))
             mf = stack.enter_context(open(partial_path, "wb"))
-            for (task, idx, scale, source), lines in zip(assignments, emitted):
+            for chunk in _chunks(assignments):
+                if jobs > 1:
+                    path = next(spooled)
+                    with open(path, "rb") as chunk_file:
+                        shutil.copyfileobj(chunk_file, mf)
+                    os.remove(path)
+                else:
+                    _emit_chunk(chunk, mf, context)
                 if log:
-                    log(f"meta {task}-{idx:04d} ({scale}/{source})")
-                mf.write(lines)
+                    for task, idx, scale, source in chunk:
+                        log(f"meta {task}-{idx:04d} ({scale}/{source})")
         os.replace(partial_path, manifest_path)
     except BaseException:
         partial_path.unlink(missing_ok=True)

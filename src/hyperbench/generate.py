@@ -393,14 +393,11 @@ def subsample_real(pool: SourcePool | None, spec: GenSpec, require=None) -> Hype
         if len(visited) < goal:
             continue
         new_id = {old: new for new, old in enumerate(visited)}
-        seen = set()
-        edges = []
-        for members in big.edges:
-            restricted = tuple(sorted(new_id[v] for v in members if v in vis_set))
-            if len(restricted) >= 2 and restricted not in seen:
-                seen.add(restricted)
-                edges.append(restricted)
-        h = Hypergraph(goal, sorted(edges))
+        # a hyperedge with no visited member restricts to nothing, so only
+        # those incident to the walk are read
+        touched = {e for v in visited for e in big.incident_edges(v)}
+        restricted = {tuple(sorted(new_id[v] for v in big.edges[e] if v in vis_set)) for e in touched}
+        h = Hypergraph(goal, sorted(r for r in restricted if len(r) >= 2))
         if not h.is_connected():
             continue
         if require is None or require(h):

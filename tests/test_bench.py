@@ -1,6 +1,7 @@
 import collections
 import errno
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -317,9 +318,9 @@ def _dict_rows(meta):
 @pytest.mark.parametrize("source", bench.SOURCES)
 @pytest.mark.parametrize("task", TASKS)
 def test_emit_meta_lines_are_json_dumps_of_the_rows(task, source):
-    context = (11, None, None)
-    [encoded] = bench._emit_chunk([(task, 0, "small", source)], context)
-    lines = encoded.decode()
+    out = io.BytesIO()
+    bench._emit_chunk([(task, 0, "small", source)], out, (11, None, None))
+    lines = out.getvalue().decode()
     meta = make_meta(task, 0, "small", source, 11)
     assert lines == sample_rows(meta)
     assert lines == "".join(json.dumps(row, sort_keys=True) + "\n" for row in _dict_rows(meta))
@@ -414,32 +415,42 @@ def test_closing_a_parallel_emit_cancels_the_pending_chunks(tmp_path, monkeypatc
     assert made.stat().st_size < 300  # of 1,200 metas: the chunks not yet started were cancelled
 
 
-def test_workers_leave_ctrl_c_to_the_parent(tmp_path, monkeypatch):
+def test_workers_leave_ctrl_c_to_the_parent(monkeypatch):
     monkeypatch.setattr(bench, "_WORKER_CONTEXT", None)
-    monkeypatch.setattr(bench, "_SPOOL", None)
     handler = signal.getsignal(signal.SIGINT)
     try:
-        bench._init_worker(str(tmp_path), 1, None, None)
+        bench._init_worker(1, None, None)
         assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     finally:
         signal.signal(signal.SIGINT, handler)
-        if bench._SPOOL:
-            bench._SPOOL.close()
     assert bench._WORKER_CONTEXT == (1, None, None)
-    assert bench._SPOOL.name == str(tmp_path / str(os.getpid()))
 
 
 def test_a_pooled_chunk_returns_where_its_lines_are(tmp_path, monkeypatch):
-    monkeypatch.setattr(bench, "_SPOOL", open(tmp_path / "spool", "xb"))
     monkeypatch.setattr(bench, "_WORKER_CONTEXT", (11, None, None))
     chunks = list(bench._chunks(plan_assignments(2, 11)))[:2]
-    with bench._SPOOL:
-        results = [bench._spool_chunk(chunk) for chunk in chunks]
-    for chunk, result in zip(chunks, results):
+    results = [bench._spool_chunk(str(tmp_path / str(index)), chunk) for index, chunk in enumerate(chunks)]
+    for index, (chunk, result) in enumerate(zip(chunks, results)):
         assert len(pickle.dumps(result)) < 1024
-        assert list(bench._read_spooled(*result)) == bench._emit_chunk(chunk, (11, None, None))
-    assert results[1][1] == sum(results[0][2])  # the second chunk appended after the first
-    assert len(results[0][2]) == bench._CHUNK
+        assert result == str(tmp_path / str(index))
+        want = io.BytesIO()
+        bench._emit_chunk(chunk, want, (11, None, None))
+        with open(result, "rb") as spooled:
+            assert spooled.read() == want.getvalue()
+    assert len(chunks[0]) == bench._CHUNK
+
+
+def test_a_pooled_emit_spools_only_the_chunks_not_yet_copied(tmp_path):
+    on_disk = []
+
+    def measure(line):
+        spooled = sum(path.stat().st_size for path in tmp_path.glob(".manifest-spool-*/*"))
+        on_disk.append(spooled + (tmp_path / "manifest.jsonl.tmp").stat().st_size)
+
+    emit_corpus(per_task=20, master_seed=3, outdir=tmp_path, jobs=2, write_images=False, log=measure)
+    assert len(on_disk) == 20 * len(TASKS)
+    # a copied chunk's file is gone, so the manifest's bytes are never on disk twice
+    assert max(on_disk) <= (tmp_path / "manifest.jsonl").stat().st_size
 
 
 @pytest.mark.parametrize("write_images", [False, True])

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -175,6 +176,84 @@ def test_subsample_require():
         require=lambda g: g.num_edges >= 3,
     )
     assert h.num_edges >= 3
+
+
+def _random_pool(n: int, seed: int) -> SourcePool:
+    """A connected pool of ``n`` vertices and 3n - 1 hyperedges: a random
+    spanning tree of 2-edges plus 2n random hyperedges of order 2-6."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(sorted(rng.sample(range(n), rng.randint(2, MAX_ORDER)))) for _ in range(2 * n)]
+    return SourcePool(Hypergraph(n, edges), f"random-{n}")
+
+
+def _subsample_restricting_every_edge(pool, spec, require=None):
+    """``subsample_real`` as it was when it restricted every pool hyperedge
+    after each walk, kept as a reference."""
+    big = pool.hypergraph
+    lo, hi = SCALE_RANGES[spec.scale]
+    for walk in range(10_000):
+        rng = random.Random(derive_seed(spec.seed, "walk", walk))
+        goal = rng.randint(lo, hi)
+        cur = rng.randrange(big.n)
+        visited = [cur]
+        vis_set = {cur}
+        for _ in range(60 * goal):
+            if len(visited) >= goal:
+                break
+            e = rng.choice(big.incident_edges(cur))
+            cur = rng.choice(big.edges[e])
+            if cur not in vis_set:
+                vis_set.add(cur)
+                visited.append(cur)
+        if len(visited) < goal:
+            continue
+        new_id = {old: new for new, old in enumerate(visited)}
+        seen = set()
+        edges = []
+        for members in big.edges:
+            restricted = tuple(sorted(new_id[v] for v in members if v in vis_set))
+            if len(restricted) >= 2 and restricted not in seen:
+                seen.add(restricted)
+                edges.append(restricted)
+        h = Hypergraph(goal, sorted(edges))
+        if not h.is_connected():
+            continue
+        if require is None or require(h):
+            return h
+    raise AssertionError("no subsample")
+
+
+@pytest.mark.parametrize("n", [60, 2000])
+def test_subsampling_reads_only_the_edges_it_keeps_with_the_same_result(n):
+    pool = _random_pool(n, n)
+    for scale in SCALE_RANGES:
+        for i in range(15):
+            spec = GenSpec("generic", scale, "real", derive_seed(n, scale, i))
+            assert subsample_real(pool, spec) == _subsample_restricting_every_edge(pool, spec)
+    for i in range(10):  # a require that turns walks away, as a certified task's search does
+        spec = GenSpec("3-CL", "large", "real", derive_seed(n, "require", i))
+        asked = [[], []]
+
+        def every_third(g, seen):
+            seen.append(g)
+            return len(seen) % 3 == 0
+
+        got = subsample_real(pool, spec, require=lambda g: every_third(g, asked[0]))
+        want = _subsample_restricting_every_edge(pool, spec, require=lambda g: every_third(g, asked[1]))
+        assert got == want
+        assert asked[0] == asked[1]
+
+
+def test_subsampling_time_follows_the_subsample_not_the_pool():
+    pool = _random_pool(20_000, 7)
+    assert pool.hypergraph.num_edges == 59_999
+    start = time.perf_counter()
+    for i in range(50):
+        h = subsample_real(pool, GenSpec("generic", "large", "real", derive_seed(7, "timed", i)))
+        assert 15 <= h.n <= 20
+    # restricting all 59,999 hyperedges after every walk took about 2 s
+    assert time.perf_counter() - start < 0.5
 
 
 def test_load_pool(tmp_path):
