@@ -144,7 +144,7 @@ TASK_TABLE = (
     TaskSpec(
         "VC", 1, "count",
         'Q: How many vertices are in the hypergraph G? List the answer after "Ans:".',
-        solve=lambda h, p, _: {"value": h.num_vertices},
+        solve=lambda h, p, _: {"value": h.n},
     ),
     TaskSpec(
         "HEC", 1, "count",
@@ -184,7 +184,7 @@ TASK_TABLE = (
         "Q: What are the neighbors of vertex v{u} when only considering "
         "hyperedges with order >= {k} in hypergraph G? "
         'List the answer after "Ans:" in the format {{v1,v2,...}} or "{none}".',
-        solve=lambda h, p, _: {"value": list(h.neighbors_filtered(p["u"], p["k"]))},
+        solve=lambda h, p, _: {"value": list(h.neighbors(p["u"], p["k"]))},
         params=("u", "k"),
         draw=lambda h, rng: {"u": rng.randrange(h.n), "k": rng.choice(sorted(set(h.order_sequence())))},
         none="No n-neighbors",

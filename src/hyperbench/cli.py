@@ -491,12 +491,16 @@ def main(argv=None) -> int:
     except gen.GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130  # 128 + SIGINT, as a shell reports it
     except MemoryError as exc:  # an input too large for this machine, such as a layout's all-pairs matrix
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
+    except (KeyboardInterrupt, Exception) as exc:
+        # an interrupt landing in threading.Condition.wait between its release of the lock
+        # and its try makes the wait's with raise RuntimeError, the interrupt as its context
+        if not isinstance(exc, KeyboardInterrupt) and not isinstance(exc.__context__, KeyboardInterrupt):
+            raise
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
 
 
 if __name__ == "__main__":

@@ -75,10 +75,6 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, edges={list(map(list, self.edges))})"
 
     @property
-    def num_vertices(self) -> int:
-        return self.n
-
-    @property
     def num_edges(self) -> int:
         return len(self.edges)
 
@@ -103,27 +99,14 @@ class Hypergraph:
         self.check_vertex(v)
         return len(self._incident[v])
 
-    def order(self, j: int) -> int:
-        """Number of vertices in hyperedge ``j``."""
-        self.check_edge(j)
-        return len(self.edges[j])
-
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Ids of hyperedges containing ``v``, ascending."""
         self.check_vertex(v)
         return self._incident[v]
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        """Vertices sharing at least one hyperedge with ``u`` (``u`` excluded)."""
-        self.check_vertex(u)
-        out = set()
-        for j in self._incident[u]:
-            out.update(self.edges[j])
-        out.discard(u)
-        return tuple(sorted(out))
-
-    def neighbors_filtered(self, u: int, min_order: int) -> tuple[int, ...]:
-        """Like :meth:`neighbors` but only through hyperedges of order >= ``min_order``."""
+    def neighbors(self, u: int, min_order: int = MIN_EDGE_SIZE) -> tuple[int, ...]:
+        """Vertices sharing a hyperedge of order >= ``min_order`` with ``u``
+        (``u`` excluded), ascending; by default through any hyperedge."""
         self.check_vertex(u)
         out = set()
         for j in self._incident[u]:
@@ -209,7 +192,7 @@ def from_json_dict(obj: dict) -> Hypergraph:
 
 def dumps(h: Hypergraph) -> str:
     """Canonical single-line JSON: ``{"n": ..., "edges": [[...], ...]}``."""
-    return json.dumps(to_json_dict(h), separators=(", ", ": "))
+    return json.dumps(to_json_dict(h))
 
 
 def loads(text: str) -> Hypergraph:

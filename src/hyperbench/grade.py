@@ -29,9 +29,6 @@ class GradeOptions:
     marker: str = "last"  # or "first"
 
 
-DEFAULT_OPTIONS = GradeOptions()
-
-
 @dataclass(frozen=True, slots=True)
 class ParsedAnswer:
     kind: str
@@ -189,7 +186,7 @@ _PARSERS = {
 }
 
 
-def parse_answer(task: str, raw_text: str, options: GradeOptions = DEFAULT_OPTIONS) -> ParsedAnswer:
+def parse_answer(task: str, raw_text: str, options: GradeOptions = GradeOptions()) -> ParsedAnswer:
     """Extract the typed answer for ``task`` from a model reply."""
     kind = task_spec(task).kind
     payload, flags = _payload(raw_text, options)
@@ -240,7 +237,7 @@ def judge(row: dict, parsed: ParsedAnswer) -> tuple[bool, tuple[str, ...]]:
         ok, extra = check_certificate(kind, row["graph"], parsed.value, spec["params"])
         return ok, parsed.flags + extra
     if kind == "vertex_set":
-        return sorted(parsed.value) == sorted(spec["value"]), parsed.flags
+        return parsed.value == sorted(spec["value"]), parsed.flags  # the parser sorts its set
     return parsed.value == spec["value"], parsed.flags
 
 
@@ -390,7 +387,7 @@ class Grading:
     :func:`tally_accuracy` and :func:`tally_prm`.
     """
 
-    def __init__(self, index: dict, options: GradeOptions = DEFAULT_OPTIONS):
+    def __init__(self, index: dict, options: GradeOptions = GradeOptions()):
         self.index = index
         self.options = options
         self.graded = 0  # verdicts kept
@@ -464,7 +461,7 @@ class Grading:
                 yield row, masks[1] >> row[4] & 1
 
 
-def grade_responses(manifest_rows, responses, options: GradeOptions = DEFAULT_OPTIONS) -> list[GradeRecord]:
+def grade_responses(manifest_rows, responses, options: GradeOptions = GradeOptions()) -> list[GradeRecord]:
     """Grade ``{"sample_id", "response"}`` responses against manifest rows;
     both may be streamed.
 

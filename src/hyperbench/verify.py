@@ -108,11 +108,13 @@ def find_3cl(h: Hypergraph):
     """A verifying coloring as a tuple of color indices, or None.
 
     Backtracks over vertices in ascending order; an edge is checked once its
-    highest vertex is assigned, so the search is exhaustive.  Whether the
-    vertices from v up can still be colored depends only on the colors of
-    v's frontier, the vertices below v in an edge whose top vertex is v or
-    higher, so failed (v, frontier colors) states are memoized and never
-    searched twice: at most n * 3^w states for frontier width w, not 3^n.
+    highest vertex is assigned, so the search is exhaustive.  Vertex v takes
+    a color at most one above the highest used below it: renaming colors in
+    order of first use makes any coloring such and no larger, so the first
+    found is unchanged.  Whether the vertices from v up can still be colored
+    depends only on that highest color and the colors of v's frontier, the
+    vertices below v in an edge whose top vertex is v or higher, so failed
+    states are memoized: at most 4 * n * 3^w for frontier width w, not 3^n.
     """
     closing: list[list[int]] = [[] for _ in range(h.n)]
     frontier: list[set[int]] = [set() for _ in range(h.n)]
@@ -121,24 +123,24 @@ def find_3cl(h: Hypergraph):
         for v in range(e[0] + 1, e[-1] + 1):
             frontier[v].update(u for u in e if u < v)
     below = [sorted(f) for f in frontier]
-    failed: set[tuple] = set()  # (vertex, frontier colors) states that cannot finish
+    failed: set[tuple] = set()  # (vertex, highest color, frontier colors) states that cannot finish
     colors = [-1] * h.n
 
-    def assign(v: int) -> bool:
+    def assign(v: int, top: int) -> bool:
         if v == h.n:
             return True
-        state = (v, *[colors[u] for u in below[v]])
+        state = (v, top, *[colors[u] for u in below[v]])
         if state in failed:
             return False
-        for c in range(NUM_COLORS):
+        for c in range(min(top + 2, NUM_COLORS)):
             colors[v] = c
-            if all(len({colors[u] for u in h.edges[j]}) >= 2 for j in closing[v]) and assign(v + 1):
+            if all(len({colors[u] for u in h.edges[j]}) >= 2 for j in closing[v]) and assign(v + 1, max(top, c)):
                 return True
         colors[v] = -1
         failed.add(state)
         return False
 
-    return tuple(colors) if assign(0) else None
+    return tuple(colors) if assign(0, -1) else None
 
 
 def find_shc(h: Hypergraph):

@@ -831,6 +831,30 @@ def test_interrupt_is_one_line_and_exit_130(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []  # no manifest.jsonl.tmp left
 
 
+def test_a_lock_broken_by_an_interrupt_is_one_line_and_exit_130(tmp_path, monkeypatch, capsys):
+    """An interrupt that lands in ``threading.Condition.wait`` between its
+    release of the lock and its ``try`` makes the wait's ``with`` raise
+    RuntimeError while handling the KeyboardInterrupt: still the interrupt.
+    A RuntimeError raised outside an interrupt still propagates."""
+    def broken_lock(*args):
+        try:
+            raise KeyboardInterrupt
+        except KeyboardInterrupt:
+            raise RuntimeError("cannot release un-acquired lock")
+
+    def fault(*args):
+        raise RuntimeError("a fault")
+
+    args = ["emit", "--seed", "1", "--per-task", "1", "--dry-run", "--out", str(tmp_path / "out")]
+    monkeypatch.setattr(bench, "make_meta", broken_lock)
+    assert main(args) == 130
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: interrupted\n")
+    monkeypatch.setattr(bench, "make_meta", fault)
+    with pytest.raises(RuntimeError, match="a fault"):
+        main(args)
+
+
 def test_sigint_to_a_parallel_emit_is_one_line_and_exit_130(tmp_path):
     """SIGINT to the process group, as Ctrl-C in a terminal sends it to the
     parent and its workers, prints no worker traceback."""

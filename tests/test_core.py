@@ -14,7 +14,7 @@ from hyperbench.core import dumps, from_json_dict, iter_jsonl, loads, parse_hmet
 def test_construction_normalizes_members():
     h = Hypergraph(4, [(2, 0), [3, 1, 2]])
     assert h.edges == ((0, 2), (1, 2, 3))
-    assert h.num_vertices == 4
+    assert h.n == 4
     assert h.num_edges == 2
 
 
@@ -49,11 +49,10 @@ def test_reference_degrees_and_orders(hstar):
     assert hstar.order_sequence() == (3, 3, 3)
     assert hstar.incident_edges(2) == (0, 1, 2)
     assert hstar.degree(0) == 1
-    assert hstar.order(1) == 3
     with pytest.raises(IndexError):
         hstar.degree(5)
     with pytest.raises(IndexError):
-        hstar.order(3)
+        hstar.check_edge(3)
 
 
 def test_handshake_on_random_graphs(make_random):
@@ -66,8 +65,8 @@ def test_handshake_on_random_graphs(make_random):
 def test_neighbors(hstar):
     assert hstar.neighbors(2) == (0, 1, 3, 4)
     assert hstar.neighbors(0) == (1, 2)
-    assert hstar.neighbors_filtered(0, 3) == (1, 2)
-    assert hstar.neighbors_filtered(0, 4) == ()
+    assert hstar.neighbors(0, 3) == (1, 2)
+    assert hstar.neighbors(0, 4) == ()
     lone = Hypergraph(3, [(1, 2)])
     assert lone.neighbors(0) == ()
 

@@ -92,25 +92,30 @@ def test_gen_deterministic():
     assert gen_random_connected(spec) == gen_random_connected(spec)
 
 
-def test_gen_3cl_certificates():
-    for i in range(20):
-        h, coloring = gen_3cl_instance(GenSpec("3-CL", "small", "synthetic", derive_seed(5, i)))
+# the planted constructors return their certificate unchecked, so these
+# are what stands between a broken constructor and a wrong manifest
+@pytest.mark.parametrize("scale", ["small", "medium", "large"])
+def test_gen_3cl_certificates(scale):
+    for i in range(300):
+        h, coloring = gen_3cl_instance(GenSpec("3-CL", scale, "synthetic", derive_seed(5, scale, i)))
         assert verify_3cl(h, coloring)
         assert h.is_connected()
         assert _in_band(h)
 
 
-def test_gen_shc_certificates():
-    for i in range(20):
-        h, cycle = gen_shc_instance(GenSpec("SHC", "medium", "synthetic", derive_seed(6, i)))
+@pytest.mark.parametrize("scale", ["small", "medium", "large"])
+def test_gen_shc_certificates(scale):
+    for i in range(300):
+        h, cycle = gen_shc_instance(GenSpec("SHC", scale, "synthetic", derive_seed(6, scale, i)))
         assert verify_shc(h, cycle)
         assert h.is_connected()
         assert _in_band(h)
 
 
-def test_gen_hhm_certificates():
-    for i in range(20):
-        h, (steps, s, t) = gen_hhm_instance(GenSpec("HHM", "small", "synthetic", derive_seed(7, i)))
+@pytest.mark.parametrize("scale", ["small", "medium", "large"])
+def test_gen_hhm_certificates(scale):
+    for i in range(300):
+        h, (steps, s, t) = gen_hhm_instance(GenSpec("HHM", scale, "synthetic", derive_seed(7, scale, i)))
         assert verify_hhm(h, steps, s, t)
         assert h.is_connected()
         assert _in_band(h)

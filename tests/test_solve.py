@@ -11,7 +11,7 @@ from conftest import random_hypergraph
 
 
 def test_counting_tasks(hstar):
-    assert hstar.num_vertices == 5
+    assert hstar.n == 5
     assert hstar.num_edges == 3
     assert solve_dvc(hstar, 2) == 2  # v1 and v3
     assert solve_dvc(hstar, 1) == 2
@@ -26,8 +26,8 @@ def test_counting_tasks(hstar):
 
 def test_neighbor_tasks(hstar):
     assert hstar.neighbors(2) == (0, 1, 3, 4)
-    assert hstar.neighbors_filtered(0, 3) == (1, 2)
-    assert hstar.neighbors_filtered(0, 4) == ()
+    assert hstar.neighbors(0, 3) == (1, 2)
+    assert hstar.neighbors(0, 4) == ()
 
 
 def test_osp_reference(hstar):

@@ -16,6 +16,7 @@ from hyperbench.generate import (
     GenSpec,
     demo_pool,
     derive_seed,
+    gen_generic,
     gen_hhm_instance,
     subsample_real,
 )
@@ -457,6 +458,60 @@ def test_find_3cl_bounded_on_a_k4_tail(tmp_path, capsys):
     assert main(["solve", "--task", "3cl", "--graph", str(tmp_path / "k4.json")]) == 0
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == '{"task": "3cl", "value": null}\n'
+
+
+def test_find_3cl_bounded_on_an_uncolourable_real_subsample():
+    """The demo pool's 20-vertex, 48-hyperedge subsample for 3-CL meta 12 at
+    large scale (master seed 0x0AC1E) has no 3-coloring; trying every color
+    at every vertex, not only up to one above the highest used, took over 3 s."""
+    h = gen_generic(GenSpec("generic", "large", "real", derive_seed(0x0AC1E, "3-CL", "large", "real", 12)))
+    start = time.perf_counter()
+    assert find_3cl(h) is None
+    assert time.perf_counter() - start < 1.5
+
+
+def _memo_find_3cl(h):
+    """find_3cl trying all three colors at every vertex: ascending
+    backtracking with failed (vertex, frontier colors) states memoized."""
+    closing = [[] for _ in range(h.n)]
+    frontier = [set() for _ in range(h.n)]
+    for j, e in enumerate(h.edges):
+        closing[e[-1]].append(j)
+        for v in range(e[0] + 1, e[-1] + 1):
+            frontier[v].update(u for u in e if u < v)
+    below = [sorted(f) for f in frontier]
+    failed = set()
+    colors = [-1] * h.n
+
+    def assign(v):
+        if v == h.n:
+            return True
+        state = (v, *[colors[u] for u in below[v]])
+        if state in failed:
+            return False
+        for c in range(NUM_COLORS):
+            colors[v] = c
+            if all(len({colors[u] for u in h.edges[j]}) >= 2 for j in closing[v]) and assign(v + 1):
+                return True
+        colors[v] = -1
+        failed.add(state)
+        return False
+
+    return tuple(colors) if assign(0) else None
+
+
+def test_find_3cl_matches_the_all_colors_search_at_corpus_sizes():
+    """300 random hypergraphs of 5-20 vertices with n to 3n hyperedges of 2-3
+    vertices: the same first coloring, or None for the uncolourable ones."""
+    rng = random.Random(3)
+    uncolourable = 0
+    for _ in range(300):
+        n = rng.randint(5, 20)
+        h = Hypergraph(n, [rng.sample(range(n), rng.choice((2, 2, 3))) for _ in range(rng.randint(n, 3 * n))])
+        expected = _memo_find_3cl(h)
+        assert find_3cl(h) == expected
+        uncolourable += expected is None
+    assert 0 < uncolourable < 300
 
 
 def test_make_meta_hhm_92_large_real_is_pinned():
